@@ -33,20 +33,11 @@ from .harness import (
 )
 from .pairs import PairSequence, generate_pairs, halton, random_pairs
 from .rosenblatt import ConditionalLaw, iid_laws, randomized_pit, rosenblatt_transform
-from .special import (
-    BetaParams,
-    beta_cdf,
-    beta_inv_cdf,
-    cauchy_cdf,
-    cauchy_quantile,
-    log_beta,
-    log_gamma,
-)
+from .special import beta_cdf, beta_inv_cdf, log_beta
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "BetaParams",
     "ConditionalLaw",
     "DistributionSpec",
     "EmpiricalNull",
@@ -60,8 +51,6 @@ __all__ = [
     "beta_cdf",
     "beta_inv_cdf",
     "build_empirical_null",
-    "cauchy_cdf",
-    "cauchy_quantile",
     "classic_test",
     "conditional_os_cdf",
     "cvm_statistic",
@@ -73,7 +62,6 @@ __all__ = [
     "iid_laws",
     "ks_statistic",
     "log_beta",
-    "log_gamma",
     "lrt_statistic",
     "nb_statistic",
     "normal_cdf",

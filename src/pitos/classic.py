@@ -20,6 +20,7 @@ import json
 import logging
 import math
 import os
+import zipfile
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -263,7 +264,8 @@ def _load_null(path, test, n, B, seed):
             return EmpiricalNull(
                 test_name=test, n=n, statistics=payload["statistics"], B=B, seed=seed
             )
-    except (OSError, ValueError, KeyError) as exc:
+    except (OSError, ValueError, KeyError, EOFError, zipfile.BadZipFile) as exc:
+        # a truncated or empty file is as unreadable as a missing one: rebuild it
         log.warning("ignoring unreadable null cache %s: %s", path, exc)
         return None
 

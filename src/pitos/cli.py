@@ -122,14 +122,8 @@ def _cmd_test(args):
     sample = OrderedSample(values)
 
     if args.method == "pitos":
-        warp = tuple(args.warp) if args.warp else None
-        if warp is not None:
-            print(
-                "warning: custom warp; the 1.15 correction is calibrated "
-                "for the default pair sequence",
-                file=sys.stderr,
-            )
-            pairs = generate_pairs(sample.n, warp=warp)
+        if args.warp:
+            pairs = generate_pairs(sample.n, warp=tuple(args.warp))
         else:
             pairs = generate_pairs(sample.n)
         verdict = pitos_p_value(sample, pairs, detail=args.emit_detail is not None)
@@ -206,12 +200,6 @@ def _cmd_power(args):
         dist = ScenarioSampler(args.dist, args.seed).draw(0)
     else:
         dist = zoo_lookup(args.dist)
-    if args.random_pair_seed is not None:
-        print(
-            "warning: random-uniform pair source; the 1.15 correction is "
-            "calibrated for the default sequence",
-            file=sys.stderr,
-        )
     reports = power_curve(
         dist, tests, n_grid, args.alpha, reps, args.seed,
         null_b=null_b, cache_dir=args.cache_dir, threads=args.threads,

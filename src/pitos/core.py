@@ -9,7 +9,6 @@ is a valid p-value per pair.  The p_ij are aggregated with the Cauchy
 combination and the result is inflated by the 1.15 dependence correction.
 """
 
-import logging
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -26,8 +25,6 @@ __all__ = [
     "conditional_os_cdf",
     "pitos_p_value",
 ]
-
-log = logging.getLogger(__name__)
 
 # Per-pair p-values are clamped into [CLAMP_EPS, 1 - CLAMP_EPS] before the
 # Cauchy quantile so ties and boundary data yield finite combination terms.
@@ -129,70 +126,47 @@ def conditional_os_cdf(n, i, j, x, y):
     return float(_sp.betainc(j, i - j, min(max(y / x, 0.0), 1.0)))
 
 
-# Pair evaluation streams through fixed-size blocks: temporaries stay cache
-# resident at large m, and the block structure fixes the summation order.
+# The combination sums per-pair terms in fixed blocks of 2^20, which fixes the
+# summation order; u is elementwise, so the kernel may run in smaller chunks
+# that keep its temporaries cache resident without changing any bit.
 _BLOCK = 1 << 20
+_KERNEL_BLOCK = 1 << 18
 
 
 def _conditional_u_block(sorted_x, i_idx, j_idx, n, out):
-    """u values for one block of index pairs against one sorted sample.
+    """u values for index pair arrays against one sorted sample, into `out`.
 
-    Branch cases (marginal, below-diagonal, above-diagonal) are evaluated on
-    compacted subsets; boundary conditioning values produce u = 1 directly.
+    Every pair is one Beta CDF G(ratio, a, b) of a ratio of order statistics:
+    the cases of conditional_os_cdf differ only in the shapes, the offset
+    and the denominator of the ratio.  A zero denominator (x_(i) = 1 with
+    i < j, x_(i) = 0 with i > j) pins the conditional mass, so u = 1.
     """
-    xi = sorted_x[i_idx - 1]
-    xj = sorted_x[j_idx - 1]
-    eq = i_idx == j_idx
-    if eq.any():
-        jj = j_idx[eq].astype(float)
-        out[eq] = _sp.betainc(jj, n - jj + 1.0, xj[eq])
-    lt = i_idx < j_idx
-    if lt.any():
-        a = (j_idx[lt] - i_idx[lt]).astype(float)
-        b = (n - j_idx[lt] + 1).astype(float)
-        xiv = xi[lt]
-        # boundary x = 1 pins the conditional mass: set the argument to 1
-        den = 1.0 - xiv
-        bad = den <= 0.0
-        if bad.any():
-            den[bad] = 1.0
-        ratio = xj[lt]
-        np.subtract(ratio, xiv, out=ratio)
+    for lo in range(0, len(out), _KERNEL_BLOCK):
+        hi = min(lo + _KERNEL_BLOCK, len(out))
+        i, j = i_idx[lo:hi], j_idx[lo:hi]
+        xi = sorted_x[i - 1]
+        below = i < j
+        above = i > j
+        a = np.where(below, j - i, j).astype(float)
+        b = np.where(above, i - j, n + 1 - j).astype(float)
+        den = np.where(below, 1.0 - xi, np.where(above, xi, 1.0))
+        pinned = den <= 0.0
+        den[pinned] = 1.0
+        ratio = sorted_x[j - 1]
+        np.subtract(ratio, np.where(below, xi, 0.0), out=ratio)
         np.divide(ratio, den, out=ratio)
         np.clip(ratio, 0.0, 1.0, out=ratio)
-        if bad.any():
-            ratio[bad] = 1.0
-        out[lt] = _sp.betainc(a, b, ratio)
-    gt = i_idx > j_idx
-    if gt.any():
-        a = j_idx[gt].astype(float)
-        b = (i_idx[gt] - j_idx[gt]).astype(float)
-        den = xi[gt]
-        bad = den <= 0.0
-        if bad.any():
-            den[bad] = 1.0
-        ratio = xj[gt]
-        np.divide(ratio, den, out=ratio)
-        np.clip(ratio, 0.0, 1.0, out=ratio)
-        if bad.any():
-            ratio[bad] = 1.0
-        out[gt] = _sp.betainc(a, b, ratio)
+        ratio[pinned] = 1.0
+        _sp.betainc(a, b, ratio, out=out[lo:hi])
     return out
 
 
-def _conditional_u(sorted_x, i_idx, j_idx, n):
-    """Vectorized u values for index pair arrays against one sorted sample."""
-    u = np.empty(len(i_idx))
-    for lo in range(0, len(i_idx), _BLOCK):
-        hi = min(lo + _BLOCK, len(i_idx))
-        _conditional_u_block(sorted_x, i_idx[lo:hi], j_idx[lo:hi], n, u[lo:hi])
-    return u
-
-
 def _combination_terms(u_block, out):
-    """Cauchy-quantile terms tan(pi (1 - p - 1/2)) for a block of u values."""
-    p = 2.0 * np.minimum(u_block, 1.0 - u_block)
-    np.subtract(1.0, p, out=out)
+    """Cauchy-quantile terms tan(pi (1 - p - 1/2)), p = 2 min(u, 1 - u), in `out`."""
+    np.subtract(1.0, u_block, out=out)
+    np.minimum(u_block, out, out=out)
+    np.multiply(out, 2.0, out=out)
+    np.subtract(1.0, out, out=out)
     np.clip(out, CLAMP_EPS, 1.0 - CLAMP_EPS, out=out)
     np.subtract(out, 0.5, out=out)
     np.multiply(out, np.pi, out=out)
@@ -200,7 +174,7 @@ def _combination_terms(u_block, out):
     return out
 
 
-def pitos_p_value(sample, pairs=None, *, detail=False, cache=True):
+def pitos_p_value(sample, pairs=None, *, detail=False):
     """Run the test on a sample against the Uniform(0,1) null.
 
     Parameters
@@ -212,11 +186,6 @@ def pitos_p_value(sample, pairs=None, *, detail=False, cache=True):
     detail : bool
         Attach per-pair (i, j, u, p) arrays to the verdict.  Off by default
         since the sequence holds ~10 n ln n entries.
-    cache : bool
-        Memoize repeated (i, j) pairs instead of recomputing them.  Applied
-        while the sequence is short enough for duplicates to occur; the
-        result is bitwise identical either way because values are gathered
-        back into sequence order before summation.
 
     Returns
     -------
@@ -227,9 +196,12 @@ def pitos_p_value(sample, pairs=None, *, detail=False, cache=True):
 
     Notes
     -----
-    The combination sums the per-pair terms in sequence order, pairwise
-    within fixed blocks of 2^20 and left to right across blocks, so results
-    are reproducible run to run.
+    One loop walks the sequence in fixed blocks of 2^20 pairs.  Each block's
+    u values are gathered from the u of the distinct pairs when the sequence
+    is short enough for repeats to occur (m <= 1e6), and evaluated straight
+    from the kernel otherwise; either way u is the same elementwise value.
+    The per-pair terms are summed pairwise within a block and left to right
+    across blocks, so results are reproducible run to run.
     """
     if not isinstance(sample, OrderedSample):
         sample = OrderedSample(sample)
@@ -240,45 +212,34 @@ def pitos_p_value(sample, pairs=None, *, detail=False, cache=True):
         raise TypeError("pairs must be a PairSequence")
     if pairs.n != n:
         raise ValueError(f"pair sequence built for n={pairs.n}, sample has n={n}")
-    if not pairs.is_default:
-        log.warning(
-            "non-default pair sequence: the 1.15 correction was calibrated "
-            "for the default Beta(0.7,0.7) warp"
-        )
 
     sorted_x = sample.order_statistics
     m = pairs.m
-    scratch = np.empty(min(m, _BLOCK))
-    if cache and m <= _DEDUP_LIMIT:
+    dedup = m <= _DEDUP_LIMIT
+    if dedup:
         ui, uj, inv = pairs.dedup()
-        u_all = _conditional_u(sorted_x, ui, uj, n)[inv]
-    elif detail:
-        u_all = _conditional_u(sorted_x, pairs.i, pairs.j, n)
-    else:
-        # stream blocks straight into the combination sum
-        u_all = None
-        total = 0.0
-        for lo in range(0, m, _BLOCK):
-            hi = min(lo + _BLOCK, m)
-            u_block = _conditional_u_block(
-                sorted_x, pairs.i[lo:hi], pairs.j[lo:hi], n, np.empty(hi - lo)
-            )
-            total += float(_combination_terms(u_block, scratch[: hi - lo]).sum())
-        statistic = total / m
+        u_unique = _conditional_u_block(sorted_x, ui, uj, n, np.empty(len(ui)))
+    u_all = np.empty(m) if detail else None
+    u_buf = None if detail else np.empty(min(m, _BLOCK))
+    terms = np.empty(min(m, _BLOCK))
+    total = 0.0
+    for lo in range(0, m, _BLOCK):
+        hi = min(lo + _BLOCK, m)
+        u = u_all[lo:hi] if detail else u_buf[: hi - lo]
+        if dedup:
+            np.take(u_unique, inv[lo:hi], out=u)
+        else:
+            _conditional_u_block(sorted_x, pairs.i[lo:hi], pairs.j[lo:hi], n, u)
+        total += float(_combination_terms(u, terms[: hi - lo]).sum())
+    statistic = total / m
 
-    if u_all is not None:
-        total = 0.0
-        for lo in range(0, m, _BLOCK):
-            hi = min(lo + _BLOCK, m)
-            total += float(_combination_terms(u_all[lo:hi], scratch[: hi - lo]).sum())
-        statistic = total / m
-
-    # 1 - cauchy_cdf(statistic), written to avoid the cancellation in 1 - (1/2 + atan/pi)
+    # upper Cauchy tail, written to avoid the cancellation in 1 - (1/2 + atan/pi)
     p = 0.5 - math.atan(statistic) / math.pi
     p_star = min(1.0, CORRECTION * p)
 
+    pair_detail = None
     if detail:
-        p_pair = 2.0 * np.minimum(u_all, 1.0 - u_all)
+        pair_detail = PairDetail(pairs.i, pairs.j, u_all, 2.0 * np.minimum(u_all, 1.0 - u_all))
 
     return TestVerdict(
         test_name="PITOS",
@@ -287,5 +248,5 @@ def pitos_p_value(sample, pairs=None, *, detail=False, cache=True):
         n=n,
         m=m,
         p_uncorrected=p,
-        detail=PairDetail(pairs.i, pairs.j, u_all, p_pair) if detail else None,
+        detail=pair_detail,
     )

@@ -7,6 +7,7 @@ pairs are the diagonal (1,1), ..., (n,n).
 """
 
 import functools
+import logging
 import math
 from dataclasses import dataclass, field
 
@@ -16,7 +17,9 @@ from .special import beta_inv_cdf
 
 __all__ = ["PairSequence", "generate_pairs", "halton", "pair_count", "random_pairs"]
 
-_BLOCK = 1 << 20  # chunk length for the vectorized radical inverse
+log = logging.getLogger(__name__)
+
+_BLOCK = 1 << 20  # block length for the uniforms, warp and discretization
 
 DEFAULT_WARP = (0.7, 0.7)
 
@@ -71,11 +74,15 @@ def _digit_count(count, base):
     return ndigits + 1
 
 
-def pair_count(n):
-    """Sequence length m = ceil(10 n ln n) + n (natural log)."""
+def _sample_size(n):
     if int(n) != n or n < 1:
         raise ValueError(f"sample size must be a positive integer, got {n!r}")
-    n = int(n)
+    return int(n)
+
+
+def pair_count(n):
+    """Sequence length m = ceil(10 n ln n) + n (natural log)."""
+    n = _sample_size(n)
     return math.ceil(10.0 * n * math.log(n)) + n
 
 
@@ -129,24 +136,44 @@ class PairSequence:
         return self._dedup
 
 
-def _assemble(n, warp_inverse, warp_tag):
-    # streamed in blocks so peak memory stays near the output arrays alone
+def _halton_source(k):
+    """Points lo+1.. of the 2-D Halton sequence: column 0 in base 2, column 1 in base 3."""
+    work = tuple(np.empty(min(k, _BLOCK), dtype=np.int64) for _ in range(3))
+
+    def fill(out, column, lo):
+        base = column + 2
+        _radical_inverse_fill(out, lo + 1, base, _digit_count(k, base), work)
+
+    return fill
+
+
+def _assemble(n, warp_inverse, warp_tag, uniforms=None):
+    """Pair sequence from a source of uniforms, warped and discretized.
+
+    `uniforms(out, column, lo)` fills `out` with points lo.. of column i (0)
+    or j (1); the default is the 2-D Halton sequence.  Column i is filled
+    before column j, in blocks, so peak memory stays near the output arrays.
+    """
     m = pair_count(n)
     k = m - n
+    if uniforms is None:
+        uniforms = _halton_source(k)
+    if warp_tag != DEFAULT_WARP:
+        log.warning(
+            "non-default pair sequence: the 1.15 correction was calibrated "
+            "for the default Beta(0.7,0.7) warp"
+        )
     i = np.empty(m, dtype=np.int64)
     j = np.empty(m, dtype=np.int64)
-    if k > 0:
-        work = tuple(np.empty(min(k, _BLOCK), dtype=np.int64) for _ in range(3))
-        u = np.empty(min(k, _BLOCK))
-        for col, base in ((i, 2), (j, 3)):
-            ndigits = _digit_count(k, base)
-            for lo in range(0, k, _BLOCK):
-                hi = min(lo + _BLOCK, k)
-                u_blk = u[: hi - lo]
-                _radical_inverse_fill(u_blk, lo + 1, base, ndigits, work)
-                x = np.asarray(warp_inverse(u_blk), dtype=float)
-                np.ceil(np.multiply(x, n, out=x), out=x)
-                col[lo:hi] = x
+    u = np.empty(min(k, _BLOCK))
+    for column, idx in enumerate((i, j)):
+        for lo in range(0, k, _BLOCK):
+            hi = min(lo + _BLOCK, k)
+            u_blk = u[: hi - lo]
+            uniforms(u_blk, column, lo)
+            x = np.asarray(warp_inverse(u_blk), dtype=float)
+            np.ceil(np.multiply(x, n, out=x), out=x)
+            idx[lo:hi] = x
     i[k:] = np.arange(1, n + 1, dtype=np.int64)
     j[k:] = i[k:]
     # warp underflow could round an index to 0; halton itself never hits 0
@@ -155,9 +182,13 @@ def _assemble(n, warp_inverse, warp_tag):
     return PairSequence(n=n, i=i, j=j, warp=warp_tag)
 
 
+def _beta_warp(a, b):
+    return lambda u: np.asarray(beta_inv_cdf(u, a, b))
+
+
 @functools.lru_cache(maxsize=16)
 def _generate_pairs_beta(n, a, b):
-    return _assemble(n, lambda u: np.asarray(beta_inv_cdf(u, a, b)), (a, b))
+    return _assemble(n, _beta_warp(a, b), (a, b))
 
 
 def generate_pairs(n, warp=DEFAULT_WARP):
@@ -167,11 +198,10 @@ def generate_pairs(n, warp=DEFAULT_WARP):
     (a, b) Beta shape pair (default Beta(0.7, 0.7), the only supported
     default) or a callable mapping uniforms in (0, 1) to [0, 1] for a
     custom inverse CDF.  Results for Beta warps are memoized per (n, a, b);
-    use generate_pairs.cache_clear() to force regeneration.
+    use generate_pairs.cache_clear() to force regeneration.  Building a
+    non-default sequence logs one warning on the ``pitos.pairs`` logger.
     """
-    if int(n) != n or n < 1:
-        raise ValueError(f"sample size must be a positive integer, got {n!r}")
-    n = int(n)
+    n = _sample_size(n)
     if callable(warp):
         return _assemble(n, lambda u: np.asarray(warp(u), dtype=float), ("custom", warp))
     a, b = warp
@@ -186,26 +216,15 @@ def random_pairs(n, seed):
     Halton points before the same warp and discretization.
 
     Not a library default; the sequence loses the even coverage and the
-    determinism-in-n of the low-discrepancy construction, and downstream
-    code treats it as a non-default sequence (the dependence correction was
-    calibrated for the default).
+    determinism-in-n of the low-discrepancy construction, and it is built as
+    a non-default sequence (the dependence correction was calibrated for the
+    default), which logs one warning.
     """
-    if int(n) != n or n < 1:
-        raise ValueError(f"sample size must be a positive integer, got {n!r}")
-    n = int(n)
-    m = pair_count(n)
-    k = m - n
+    n = _sample_size(n)
     rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(0xA17,)))
-    i = np.empty(m, dtype=np.int64)
-    j = np.empty(m, dtype=np.int64)
-    a, b = DEFAULT_WARP
-    for col in (i, j):
-        if k > 0:
-            x = np.asarray(beta_inv_cdf(rng.random(k), a, b))
-            np.ceil(np.multiply(x, n, out=x), out=x)
-            col[:k] = x
-    i[k:] = np.arange(1, n + 1, dtype=np.int64)
-    j[k:] = i[k:]
-    np.maximum(i, 1, out=i)
-    np.maximum(j, 1, out=j)
-    return PairSequence(n=n, i=i, j=j, warp=("random-uniform", int(seed)))
+    return _assemble(
+        n,
+        _beta_warp(*DEFAULT_WARP),
+        ("random-uniform", int(seed)),
+        uniforms=lambda out, column, lo: rng.random(out=out),
+    )

@@ -1,44 +1,17 @@
 """Numerically robust special functions shared by every other module.
 
-Regularized incomplete beta function (the Beta CDF), its inverse, the
-standard Cauchy CDF/quantile pair, and log-gamma helpers.  Everything is
-vectorized over numpy arrays and safe for shapes up to 1e6, where all
-beta/gamma work happens in log space.
+Regularized incomplete beta function (the Beta CDF), its inverse, the Beta
+log density and log B(a, b).  Everything is vectorized over numpy arrays and
+safe for shapes up to 1e6, where all beta/gamma work happens in log space.
 """
-
-import math
-from dataclasses import dataclass
 
 import numpy as np
 from scipy import special as _sp
 
-__all__ = [
-    "BetaParams",
-    "beta_cdf",
-    "beta_inv_cdf",
-    "beta_log_pdf",
-    "cauchy_cdf",
-    "cauchy_quantile",
-    "log_beta",
-    "log_gamma",
-]
+__all__ = ["beta_cdf", "beta_inv_cdf", "beta_log_pdf", "log_beta"]
 
 # Residual tolerance guaranteed by beta_inv_cdf: |beta_cdf(x) - u| <= INV_TOL.
 INV_TOL = 1e-12
-
-
-@dataclass(frozen=True)
-class BetaParams:
-    """Shape pair (a, b) of a Beta distribution; both must be positive and finite."""
-
-    a: float
-    b: float
-
-    def __post_init__(self):
-        if not (math.isfinite(self.a) and math.isfinite(self.b)):
-            raise ValueError(f"beta shapes must be finite, got ({self.a}, {self.b})")
-        if self.a <= 0.0 or self.b <= 0.0:
-            raise ValueError(f"beta shapes must be positive, got ({self.a}, {self.b})")
 
 
 def _validate_shapes(a, b):
@@ -49,15 +22,6 @@ def _validate_shapes(a, b):
     if np.any(a <= 0.0) or np.any(b <= 0.0):
         raise ValueError("beta shapes must be positive")
     return a, b
-
-
-def log_gamma(x):
-    """Natural log of the gamma function for positive arguments."""
-    x = np.asarray(x, dtype=float)
-    if np.any(x <= 0.0):
-        raise ValueError("log_gamma requires positive arguments")
-    out = _sp.gammaln(x)
-    return float(out) if out.ndim == 0 else out
 
 
 def log_beta(a, b):
@@ -119,25 +83,3 @@ def beta_inv_cdf(u, a, b):
         step = np.where(np.isfinite(step), step, 0.0)
         x = np.where(bad, np.clip(x - step, 0.0, 1.0), x)
     return float(x) if x.ndim == 0 else x
-
-
-def cauchy_cdf(t):
-    """Standard Cauchy CDF, 1/2 + arctan(t)/pi.  Accepts +-inf."""
-    t = np.asarray(t, dtype=float)
-    out = 0.5 + np.arctan(t) / np.pi
-    return float(out) if out.ndim == 0 else out
-
-
-def cauchy_quantile(q):
-    """Standard Cauchy quantile, tan(pi (q - 1/2)), for q strictly inside (0, 1).
-
-    Raises
-    ------
-    ValueError
-        At q in {0, 1} (and outside [0, 1]); callers must clamp first.
-    """
-    q = np.asarray(q, dtype=float)
-    if np.any(np.isnan(q)) or np.any(q <= 0.0) or np.any(q >= 1.0):
-        raise ValueError("cauchy_quantile requires q strictly inside (0, 1)")
-    out = np.tan(np.pi * (q - 0.5))
-    return float(out) if out.ndim == 0 else out

@@ -113,6 +113,17 @@ class TestEmpiricalNull:
         again = build_empirical_null("cvm", 15, B=300, seed=2, cache_dir=cache_dir)
         np.testing.assert_array_equal(first.statistics, again.statistics)
 
+    @pytest.mark.parametrize("damage", ["truncated", "empty"])
+    def test_corrupt_cache_file_regenerates(self, cache_dir, caplog, damage):
+        first = build_empirical_null("ad", 12, B=200, seed=4, cache_dir=cache_dir)
+        (path,) = cache_dir.glob("*.npz")
+        whole = path.read_bytes()
+        path.write_bytes(whole[: len(whole) // 2] if damage == "truncated" else b"")
+        again = build_empirical_null("ad", 12, B=200, seed=4, cache_dir=cache_dir)
+        assert again.statistics.tobytes() == first.statistics.tobytes()
+        assert path.read_bytes() == whole
+        assert any("unreadable null cache" in r.message for r in caplog.records)
+
     def test_lrt_needs_density_and_label_separates_cache(self, cache_dir):
         with pytest.raises(ValueError):
             build_empirical_null("lrt", 10, B=50, seed=0, cache_dir=cache_dir)

@@ -21,6 +21,16 @@ def run_cli(argv, capsys):
     return code, out.out, out.err
 
 
+def run_entrypoint(argv, cwd):
+    """The installed `pitos` entry point in a fresh process (logging configured)."""
+    return subprocess.run(
+        [sys.executable, "-c", "import sys; from pitos.cli import entrypoint; "
+         "sys.argv[0] = 'pitos'; entrypoint()", *argv],
+        capture_output=True, text=True, cwd=cwd,
+        env={"PYTHONPATH": REPO_SRC, "PATH": "/usr/bin:/bin"},
+    )
+
+
 class TestInputParsing:
     def test_values_comments_and_blanks(self, tmp_path):
         path = tmp_path / "data.txt"
@@ -100,13 +110,14 @@ class TestTestSubcommand:
         assert lines[0] == "k,i,j,u,p"
         assert len(lines) == 1 + math.ceil(10 * 20 * math.log(20)) + 20
 
-    def test_custom_warp_warns(self, tmp_path, capsys):
+    def test_custom_warp_warns(self, tmp_path):
         path = tmp_path / "data.txt"
         path.write_text("".join(f"{float(v)!r}\n" for v in np.random.default_rng(4).random(30)))
-        code, out, err = run_cli(
-            ["test", "--input", str(path), "--warp", "2,2"], capsys
-        )
-        assert code == 0 and "warning" in err.lower()
+        proc = run_entrypoint(["test", "--input", str(path), "--warp", "2,2"], tmp_path)
+        assert proc.returncode == 0
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1 and "warning" in lines[0].lower()
+        assert "1.15 correction" in lines[0]
 
 
 class TestTabularSubcommands:
@@ -204,15 +215,25 @@ class TestTabularSubcommands:
 
     def test_random_pair_seed_flag(self, tmp_path, capsys, cache_dir):
         out_csv = tmp_path / "power.csv"
-        code, _, err = run_cli(
+        code, _, _ = run_cli(
             ["power", "--dist", "uniform", "--tests", "pitos", "--n", "12",
              "--reps", "40", "--null-b", "100", "--seed", "2", "--random-pair-seed", "9",
              "--cache-dir", str(cache_dir), "--out", str(out_csv)],
             capsys,
         )
-        assert code == 0 and "warning" in err.lower()
+        assert code == 0
         sidecar = json.loads((tmp_path / "power.csv.meta.json").read_text())
         assert sidecar["random_pair_seed"] == 9
+
+    def test_random_pair_seed_warns_once(self, tmp_path):
+        proc = run_entrypoint(
+            ["power", "--dist", "uniform", "--tests", "pitos", "--n", "30",
+             "--reps", "50", "--random-pair-seed", "1", "--out", str(tmp_path / "p.csv")],
+            tmp_path,
+        )
+        assert proc.returncode == 0
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1 and "1.15 correction" in lines[0]
 
     def test_help_exits_zero(self, capsys):
         assert main(["--help"]) == 0

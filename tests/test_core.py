@@ -1,12 +1,16 @@
 """Core test behavior: hand-executed small cases, permutation invariance,
 clamping and saturation, duplicate-pair upweighting, the correction
-ordering, and null uniformity of the per-pair transform."""
+ordering, frozen output bits, the vectorized kernel against the scalar
+conditional CDF, and null uniformity of the per-pair transform."""
+
+import hashlib
 
 import numpy as np
 import pytest
 
+from pitos import core
 from pitos.core import OrderedSample, conditional_os_cdf, pitos_p_value
-from pitos.pairs import PairSequence, generate_pairs
+from pitos.pairs import PairSequence, generate_pairs, random_pairs
 
 from conftest import ecdf_sup_distance
 
@@ -93,13 +97,17 @@ class TestPitosPValue:
         b = pitos_p_value(data, double)
         assert a.p_value == b.p_value  # mean of two equal terms is the term
 
-    def test_cache_flag_is_bitwise_neutral(self):
+    def test_dedup_is_bitwise_neutral(self, monkeypatch):
+        # gathering u from the distinct pairs and evaluating every pair give the same bits
         data = np.random.default_rng(13).random(150)
         pairs = generate_pairs(150)
-        assert (
-            pitos_p_value(data, pairs, cache=True).p_value
-            == pitos_p_value(data, pairs, cache=False).p_value
-        )
+        gathered = pitos_p_value(data, pairs, detail=True)
+        monkeypatch.setattr(core, "_DEDUP_LIMIT", 0)
+        direct = pitos_p_value(data, pairs, detail=True)
+        assert gathered.statistic.hex() == direct.statistic.hex()
+        assert gathered.p_value.hex() == direct.p_value.hex()
+        assert gathered.detail.u.tobytes() == direct.detail.u.tobytes()
+        assert gathered.detail.p.tobytes() == direct.detail.p.tobytes()
 
     def test_correction_ordering(self):
         rng = np.random.default_rng(17)
@@ -135,11 +143,114 @@ class TestPitosPValue:
             pitos_p_value([0.5, 1.5])
 
     def test_custom_warp_warns(self, caplog):
+        # one warning when the sequence is built, none per verdict
         data = np.random.default_rng(23).random(40)
-        pairs = generate_pairs(40, warp=(2.0, 2.0))
-        with caplog.at_level("WARNING", logger="pitos.core"):
+        generate_pairs.cache_clear()
+        with caplog.at_level("WARNING"):
+            pairs = generate_pairs(40, warp=(2.0, 2.0))
             pitos_p_value(data, pairs)
-        assert any("1.15 correction" in r.message for r in caplog.records)
+            pitos_p_value(data, pairs)
+        warned = [r for r in caplog.records if "1.15 correction" in r.message]
+        assert [r.name for r in warned] == ["pitos.pairs"]
+
+
+def _frozen_data(n):
+    return np.random.default_rng(1000 + n).random(n)
+
+
+def _md5(*arrays):
+    return hashlib.md5(b"".join(a.tobytes() for a in arrays)).hexdigest()
+
+
+class TestFrozenBits:
+    """Outputs frozen as float.hex / md5 from the three-branch kernel with
+    separate dedup, detail and streaming paths; the single evaluation loop
+    must reproduce them bit for bit."""
+
+    # n: (statistic, p_value); n = 11300 has m > 2^20, two summation blocks
+    VERDICTS = {
+        1: ("-0x1.2b602f89cd08ep+0", "0x1.c8354d63a4f63p-1"),
+        5: ("-0x1.565db477b1d80p-2", "0x1.62df71901f918p-1"),
+        30: ("-0x1.a5a535b82d6bep+0", "0x1.e688536f3852cp-1"),
+        100: ("0x1.3d089c0eaf6a5p+14", "0x1.2eaddefd82999p-16"),
+        3000: ("-0x1.30685c4472332p+2", "0x1.0000000000000p+0"),
+        11300: ("-0x1.3647e110adb42p-2", "0x1.5d8abe3bdf919p-1"),
+    }
+
+    @pytest.mark.parametrize("n", sorted(VERDICTS))
+    def test_verdict_bits(self, n):
+        v = pitos_p_value(_frozen_data(n))
+        assert (v.statistic.hex(), v.p_value.hex()) == self.VERDICTS[n]
+
+    def test_tied_boundary_data_bits(self):
+        v = pitos_p_value(np.repeat([0.0, 0.2, 0.5, 1.0], 25))
+        assert (v.statistic.hex(), v.p_value.hex()) == (
+            "0x1.802b1f91a02d5p+47", "0x1.f0cccccccccccp-50"
+        )
+
+    def test_detail_bytes(self):
+        det = pitos_p_value(_frozen_data(100), detail=True).detail
+        assert _md5(det.u, det.p) == "bb48ac13df12a561e66b47c10e3fe4c4"
+
+    @pytest.mark.parametrize("n, digest", [
+        (40, "4b3be5368c70668582a381d6b8e874aa"),
+        (11300, "f9f000d16ddcb28ec700f3800b95d78a"),  # k > 2^20 crosses a block
+    ])
+    def test_random_pairs_bytes(self, n, digest):
+        seq = random_pairs(n, 3)
+        assert _md5(seq.i, seq.j) == digest
+
+
+def _kernel_vs_scalar(x, i, j):
+    sorted_x = np.sort(x)
+    n = len(sorted_x)
+    got = core._conditional_u_block(sorted_x, i, j, n, np.empty(len(i)))
+    want = [
+        conditional_os_cdf(n, a, b, sorted_x[a - 1], sorted_x[b - 1])
+        for a, b in zip(i.tolist(), j.tolist())
+    ]
+    np.testing.assert_array_equal(got, want)
+
+
+class TestKernelMatchesScalar:
+    """The vectorized u kernel against the scalar conditional_os_cdf, exactly."""
+
+    SAMPLERS = {
+        "uniform": lambda rng, n: rng.random(n),
+        "lattice": lambda rng, n: rng.choice([0.0, 0.2, 0.5, 1.0], n),
+        "tied": lambda rng, n: rng.choice(rng.random(n // 4 + 1), n),
+        "beta-edges": lambda rng, n: rng.beta(0.05, 0.05, n),
+    }
+
+    @pytest.mark.parametrize("kind", sorted(SAMPLERS))
+    def test_random_pairs_of_indices(self, kind):
+        rng = np.random.default_rng(31)
+        for n in [1, 2, 3, 7] + rng.integers(4, 400, 12).tolist():
+            x = self.SAMPLERS[kind](rng, n)
+            i = rng.integers(1, n + 1, 300)
+            j = rng.integers(1, n + 1, 300)
+            diag = np.arange(1, n + 1)
+            _kernel_vs_scalar(x, np.concatenate([i, diag]), np.concatenate([j, diag]))
+
+    def test_boundary_conditioning_values(self):
+        # x_(i) = 1 with i < j and x_(i) = 0 with i > j pin u to 1
+        x = np.array([0.0, 0.0, 0.3, 0.3, 1.0, 1.0])
+        grid = np.arange(1, 7)
+        i, j = np.meshgrid(grid, grid, indexing="ij")
+        _kernel_vs_scalar(x, i.ravel(), j.ravel())
+        got = core._conditional_u_block(np.sort(x), np.array([5, 2]), np.array([6, 1]), 6,
+                                        np.empty(2))
+        np.testing.assert_array_equal(got, [1.0, 1.0])
+
+    def test_kernel_sub_blocks_do_not_change_bits(self, monkeypatch):
+        rng = np.random.default_rng(37)
+        x = np.sort(rng.random(500))
+        i = rng.integers(1, 501, 5000)
+        j = rng.integers(1, 501, 5000)
+        whole = core._conditional_u_block(x, i, j, 500, np.empty(5000))
+        monkeypatch.setattr(core, "_KERNEL_BLOCK", 77)
+        chunked = core._conditional_u_block(x, i, j, 500, np.empty(5000))
+        assert whole.tobytes() == chunked.tobytes()
 
 
 class TestNullUniformityOfPairTransform:

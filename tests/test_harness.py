@@ -70,12 +70,14 @@ class TestEstimatePower:
 
     def test_random_pair_source_experiment(self, cache_dir, caplog):
         kw = dict(n=25, alpha=0.05, replicates=100, seed=6, cache_dir=cache_dir)
-        with caplog.at_level("WARNING", logger="pitos.core"):
+        with caplog.at_level("WARNING", logger="pitos.pairs"):
             alt = estimate_power("uniform", "pitos", **kw, pair_seed=11)
+        # one warning for the one sequence, not one per replicate
+        warned = [r for r in caplog.records if "1.15 correction" in r.message]
+        assert len(warned) == 1
         again = estimate_power("uniform", "pitos", **kw, pair_seed=11)
         assert alt.rejection_rate == again.rejection_rate
         assert 0.0 <= alt.rejection_rate["pitos"] <= 0.15  # still near level
-        assert any("1.15 correction" in r.message for r in caplog.records)
 
 
 class TestCommonRandomNumbers:

@@ -1,20 +1,12 @@
 """Special-function contracts: trivial identities, the quadrature oracle,
-monotonicity, symmetry, and the inverse round trip."""
+monotonicity, symmetry, the inverse round trip, and log B(a, b)."""
 
 import math
 
 import numpy as np
 import pytest
 
-from pitos.special import (
-    BetaParams,
-    beta_cdf,
-    beta_inv_cdf,
-    cauchy_cdf,
-    cauchy_quantile,
-    log_beta,
-    log_gamma,
-)
+from pitos.special import beta_cdf, beta_inv_cdf, log_beta
 
 from conftest import beta_cdf_quadrature
 
@@ -112,46 +104,6 @@ class TestBetaInverse:
             beta_inv_cdf(1.0001, 1, 1)
 
 
-class TestCauchy:
-    def test_symmetry_point(self):
-        assert cauchy_cdf(0.0) == 0.5
-
-    def test_arctan_value(self):
-        assert cauchy_cdf(1.0) == pytest.approx(0.75, abs=1e-15)
-
-    def test_quantile_inverts(self):
-        assert cauchy_quantile(0.75) == pytest.approx(1.0, abs=1e-12)
-
-    def test_roundtrip_over_wide_range(self):
-        # relative 1e-9: near the poles the quantile derivative is pi(1+t^2),
-        # so absolute agreement at |t| ~ 1e6 is impossible in double precision
-        t = np.concatenate([
-            -np.logspace(6, -3, 40), [0.0], np.logspace(-3, 6, 40),
-        ])
-        back = cauchy_quantile(cauchy_cdf(t))
-        np.testing.assert_allclose(back, t, rtol=1e-9, atol=1e-9)
-
-    def test_quantile_domain_errors(self):
-        for q in (0.0, 1.0, -0.5, 1.5):
-            with pytest.raises(ValueError):
-                cauchy_quantile(q)
-
-    def test_extended_reals(self):
-        assert cauchy_cdf(np.inf) == 1.0
-        assert cauchy_cdf(-np.inf) == 0.0
-
-
 class TestParamsAndGamma:
-    def test_beta_params_validation(self):
-        BetaParams(0.7, 0.7)
-        with pytest.raises(ValueError):
-            BetaParams(0.0, 1.0)
-        with pytest.raises(ValueError):
-            BetaParams(1.0, math.inf)
-
-    def test_log_gamma_matches_factorials(self):
-        for k in (1, 2, 5, 10, 20):
-            assert log_gamma(k + 1) == pytest.approx(math.log(math.factorial(k)), rel=1e-13)
-
     def test_log_beta_consistency(self):
         assert log_beta(2.0, 3.0) == pytest.approx(math.log(1.0 / 12.0), rel=1e-13)
