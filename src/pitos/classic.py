@@ -20,6 +20,7 @@ import json
 import logging
 import math
 import os
+import secrets
 import zipfile
 from dataclasses import dataclass
 from pathlib import Path
@@ -248,9 +249,16 @@ def _store_null(path, null):
         header = json.dumps(
             {"test": null.test_name, "n": null.n, "B": null.B, "seed": null.seed}
         )
-        tmp = path.with_suffix(".tmp.npz")
-        np.savez(tmp, header=np.array(header), statistics=null.statistics)
-        os.replace(tmp, path)
+        # a temp file of its own, created exclusively, so concurrent writers
+        # of one null never share it; open() keeps the umask-derived mode
+        tmp = path.with_name(f"{path.stem}.{secrets.token_hex(8)}.tmp.npz")
+        try:
+            with open(tmp, "xb") as fh:
+                np.savez(fh, header=np.array(header), statistics=null.statistics)
+            os.replace(tmp, path)
+        except BaseException:
+            tmp.unlink(missing_ok=True)
+            raise
     except OSError as exc:
         log.warning("could not write null cache %s: %s", path, exc)
 

@@ -52,8 +52,6 @@ from .streams import stream
 
 __all__ = ["main", "entrypoint"]
 
-log = logging.getLogger(__name__)
-
 CALIBRATION_GRID = (
     [round(0.001 * k, 3) for k in range(1, 10)]
     + [round(0.01 * k, 2) for k in range(1, 20)]

@@ -10,6 +10,8 @@ combination and the result is inflated by the 1.15 dependence correction.
 """
 
 import math
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -128,9 +130,16 @@ def conditional_os_cdf(n, i, j, x, y):
 
 # The combination sums per-pair terms in fixed blocks of 2^20, which fixes the
 # summation order; u is elementwise, so the kernel may run in smaller chunks
-# that keep its temporaries cache resident without changing any bit.
+# that keep its temporaries cache resident without changing any bit.  Small
+# chunks also keep what a pool thread's malloc arena retains small.
 _BLOCK = 1 << 20
-_KERNEL_BLOCK = 1 << 18
+_KERNEL_BLOCK = 1 << 16
+
+
+def _available_cores():
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 def _conditional_u_block(sorted_x, i_idx, j_idx, n, out):
@@ -196,12 +205,15 @@ def pitos_p_value(sample, pairs=None, *, detail=False):
 
     Notes
     -----
-    One loop walks the sequence in fixed blocks of 2^20 pairs.  Each block's
-    u values are gathered from the u of the distinct pairs when the sequence
-    is short enough for repeats to occur (m <= 1e6), and evaluated straight
-    from the kernel otherwise; either way u is the same elementwise value.
-    The per-pair terms are summed pairwise within a block and left to right
-    across blocks, so results are reproducible run to run.
+    The sequence is walked in fixed blocks of 2^20 pairs.  Each block's u
+    values are gathered from the u of the distinct pairs when the sequence
+    is short enough for repeats to occur (m <= 1e6, always one block), and
+    evaluated straight from the kernel otherwise; either way u is the same
+    elementwise value.  Sequences of more than one block are evaluated on a
+    thread pool with one worker per available core (betainc releases the
+    GIL).  The per-pair terms are summed pairwise within a block and the
+    block sums left to right in block order, so results are bitwise the same
+    run to run and for any core count.
     """
     if not isinstance(sample, OrderedSample):
         sample = OrderedSample(sample)
@@ -220,17 +232,35 @@ def pitos_p_value(sample, pairs=None, *, detail=False):
         ui, uj, inv = pairs.dedup()
         u_unique = _conditional_u_block(sorted_x, ui, uj, n, np.empty(len(ui)))
     u_all = np.empty(m) if detail else None
-    u_buf = None if detail else np.empty(min(m, _BLOCK))
-    terms = np.empty(min(m, _BLOCK))
-    total = 0.0
-    for lo in range(0, m, _BLOCK):
+    starts = range(0, m, _BLOCK)
+    # one block (every m <= 2^20, so every dedup sequence) runs inline
+    workers = min(len(starts), _available_cores()) if len(starts) > 1 else 1
+    # One (u, terms) buffer pair per worker, allocated here: memory a pool
+    # thread allocates stays with that thread's malloc arena after it exits.
+    size = min(m, _BLOCK)
+    spare = [(None if detail else np.empty(size), np.empty(size)) for _ in range(workers)]
+
+    def block_sum(lo):
         hi = min(lo + _BLOCK, m)
+        buffers = spare.pop()  # never empty: at most `workers` blocks run at once
+        u_buf, terms = buffers
         u = u_all[lo:hi] if detail else u_buf[: hi - lo]
         if dedup:
             np.take(u_unique, inv[lo:hi], out=u)
         else:
             _conditional_u_block(sorted_x, pairs.i[lo:hi], pairs.j[lo:hi], n, u)
-        total += float(_combination_terms(u, terms[: hi - lo]).sum())
+        total = float(_combination_terms(u, terms[: hi - lo]).sum())
+        spare.append(buffers)
+        return total
+
+    if workers > 1:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            sums = list(pool.map(block_sum, starts))
+    else:
+        sums = list(map(block_sum, starts))
+    total = 0.0
+    for block_total in sums:  # left to right in block order, whatever ran them
+        total += block_total
     statistic = total / m
 
     # upper Cauchy tail, written to avoid the cancellation in 1 - (1/2 + atan/pi)

@@ -93,6 +93,11 @@ def _resolve_dist(dist):
     return zoo_lookup(dist)
 
 
+def _pitos_pairs(n, pair_seed):
+    """The default sequence for n, or the random-uniform one under pair_seed."""
+    return generate_pairs(n) if pair_seed is None else random_pairs(n, pair_seed)
+
+
 def _normalize_tests(tests):
     if isinstance(tests, str):
         tests = (tests,)
@@ -104,7 +109,7 @@ def _normalize_tests(tests):
 
 
 def _pvalue_matrix(dist, tests, n, replicates, seed, null_b, cache_dir, scen_code,
-                   dist_index, pair_seed):
+                   dist_index, pairs):
     """p-values with shape (len(tests), replicates); one dataset per replicate."""
     rows = np.empty((replicates, n))
     for r in range(replicates):
@@ -117,7 +122,6 @@ def _pvalue_matrix(dist, tests, n, replicates, seed, null_b, cache_dir, scen_cod
     failures = dict.fromkeys(tests, 0)
     for t_idx, test in enumerate(tests):
         if test == "pitos":
-            pairs = generate_pairs(n) if pair_seed is None else random_pairs(n, pair_seed)
             for r in range(replicates):
                 try:
                     out[t_idx, r] = pitos_p_value(rows[r], pairs).p_value
@@ -170,6 +174,7 @@ def estimate_power(
     scen_code=0,
     dist_index=0,
     pair_seed=None,
+    pairs=None,
 ):
     """Rejection rate of p <= alpha for each test on data from `dist`.
 
@@ -178,7 +183,9 @@ def estimate_power(
 
     `pair_seed` switches the order-statistic test onto the experimental
     random-uniform pair source (seeded); leave None for the default
-    low-discrepancy sequence.
+    low-discrepancy sequence.  `pairs`, a sequence for n that the caller
+    already built, is used instead of building one from `pair_seed`;
+    power_curve and scenario_study build theirs once before any job runs.
     """
     if not (0.0 < alpha < 1.0):
         raise ValueError("alpha must lie strictly inside (0, 1)")
@@ -186,8 +193,12 @@ def estimate_power(
         raise ValueError("replicates must be >= 1")
     dist = _resolve_dist(dist)
     tests = _normalize_tests(tests)
+    if pairs is None and "pitos" in tests:
+        pairs = _pitos_pairs(n, pair_seed)
+    elif pairs is not None and pairs.n != n:
+        raise ValueError(f"pair sequence built for n={pairs.n}, not n={n}")
     pvals = _pvalue_matrix(
-        dist, tests, n, replicates, seed, null_b, cache_dir, scen_code, dist_index, pair_seed
+        dist, tests, n, replicates, seed, null_b, cache_dir, scen_code, dist_index, pairs
     )
     rates = {t: float(np.mean(pvals[k] <= alpha)) for k, t in enumerate(tests)}
     return PowerReport(
@@ -217,11 +228,13 @@ def power_curve(
     """estimate_power at each n in the grid; grid point g uses dist_index g."""
     dist = _resolve_dist(dist)
     tests = _normalize_tests(tests)
+    # one sequence per distinct n, built before any job runs
+    pairs = {int(n): _pitos_pairs(int(n), pair_seed) for n in n_grid} if "pitos" in tests else {}
     jobs = [
         dict(
             dist=dist, tests=tests, n=int(n), alpha=alpha, replicates=replicates,
             seed=seed, null_b=null_b, cache_dir=cache_dir, scen_code=0, dist_index=g,
-            pair_seed=pair_seed,
+            pairs=pairs.get(int(n)),
         )
         for g, n in enumerate(n_grid)
     ]
@@ -253,11 +266,13 @@ def scenario_study(
         for d in range(num_distributions)
     ]
 
+    pairs = _pitos_pairs(n, pair_seed) if "pitos" in tests else None
+
     def job(d):
         return estimate_power(
             dists[d], tests, n, alpha, replicates_per_distribution, seed,
             null_b=null_b, cache_dir=cache_dir, scen_code=code, dist_index=d,
-            pair_seed=pair_seed,
+            pairs=pairs,
         )
 
     # warm the shared null caches sequentially before any parallel section
@@ -380,7 +395,7 @@ def null_pitos_pvalues(n, replicates, seed, *, pair_seed=None):
     """(uncorrected, corrected) p-value arrays over null replicates, using
     the same dataset streams as every other harness operation."""
     uniform = zoo_lookup("uniform")
-    pairs = generate_pairs(n) if pair_seed is None else random_pairs(n, pair_seed)
+    pairs = _pitos_pairs(n, pair_seed)
     p_plain = np.empty(replicates)
     p_star = np.empty(replicates)
     for r in range(replicates):

@@ -13,13 +13,21 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .special import beta_inv_cdf
+from .special import beta_cdf, beta_inv_cdf
 
 __all__ = ["PairSequence", "generate_pairs", "halton", "pair_count", "random_pairs"]
 
 log = logging.getLogger(__name__)
 
 _BLOCK = 1 << 20  # block length for the uniforms, warp and discretization
+_TABLE_SIZE = 1 << 16  # digit-reversal table entries: 16 digits in base 2, 10 in base 3
+
+# A Beta-warped point u maps to the index 1 + #{t : F(t/n) < u}; a point this
+# close to an edge F(t/n) takes the inverse-CDF path instead (ten times the
+# residual bound of beta_inv_cdf, so the two paths agree away from edges).
+_EDGE_TOL = 1e-11
+_GUIDE_PER_INDEX = 4  # guide-table buckets per index
+_LOOKUP_BLOCK = 1 << 16  # points per lookup pass; keeps its temporaries in cache
 
 DEFAULT_WARP = (0.7, 0.7)
 
@@ -44,25 +52,41 @@ def halton(index, base):
     return num / denom
 
 
+@functools.lru_cache(maxsize=8)
+def _reversal_table(base, digits):
+    """rev[v]: the `digits` base-`base` digits of v, least significant first,
+    read as an integer; one lookup appends that many digits of the inverse."""
+    v = np.arange(base**digits, dtype=np.int64)
+    rev = np.zeros_like(v)
+    for _ in range(digits):
+        rev = rev * base + v % base
+        v //= base
+    rev.setflags(write=False)
+    return rev
+
+
 def _radical_inverse_fill(out, first_index, base, ndigits, work):
-    """Fill `out` with radical inverses of first_index..first_index+len-1."""
+    """Fill `out` with radical inverses of first_index..first_index+len-1.
+
+    Digits are reversed in chunks through a lookup table (16 per pass in
+    base 2, 10 in base 3), which builds the same integer numerator as one
+    digit per pass; it is divided by base**ndigits once.
+    """
     c = len(out)
-    idx, num, dig = (buf[:c] for buf in work)
+    idx, num, dig, rev = (buf[:c] for buf in work)
     idx[:] = np.arange(first_index, first_index + c, dtype=np.int64)
     num[:] = 0
-    if base & (base - 1) == 0:
-        shift = base.bit_length() - 1
-        for _ in range(ndigits):
-            np.left_shift(num, shift, out=num)
-            np.bitwise_and(idx, base - 1, out=dig)
-            np.add(num, dig, out=num)
-            np.right_shift(idx, shift, out=idx)
-    else:
-        for _ in range(ndigits):
-            np.multiply(num, base, out=num)
-            np.mod(idx, base, out=dig)
-            np.add(num, dig, out=num)
-            np.floor_divide(idx, base, out=idx)
+    per_pass = 1
+    while base ** (per_pass + 1) <= _TABLE_SIZE:
+        per_pass += 1
+    for done in range(0, ndigits, per_pass):
+        digits = min(per_pass, ndigits - done)
+        chunk = base**digits
+        np.multiply(num, chunk, out=num)
+        np.remainder(idx, chunk, out=dig)
+        np.take(_reversal_table(base, digits), dig, out=rev)
+        np.add(num, rev, out=num)
+        np.floor_divide(idx, chunk, out=idx)
     np.divide(num, float(base**ndigits), out=out)
 
 
@@ -138,7 +162,7 @@ class PairSequence:
 
 def _halton_source(k):
     """Points lo+1.. of the 2-D Halton sequence: column 0 in base 2, column 1 in base 3."""
-    work = tuple(np.empty(min(k, _BLOCK), dtype=np.int64) for _ in range(3))
+    work = tuple(np.empty(min(k, _BLOCK), dtype=np.int64) for _ in range(4))
 
     def fill(out, column, lo):
         base = column + 2
@@ -147,48 +171,94 @@ def _halton_source(k):
     return fill
 
 
-def _assemble(n, warp_inverse, warp_tag, uniforms=None):
-    """Pair sequence from a source of uniforms, warped and discretized.
+def _beta_index_map(n, a, b):
+    """Index map ceil(n * F^-1(u)) for the Beta(a, b) CDF F, by edge lookup.
+
+    F is monotone, so the index is 1 + #{t in 1..n-1 : F(t/n) < u}.  The
+    edges F(t/n) cost n - 1 CDF calls once per sequence; a guide table of
+    buckets over [0, 1] gives the count of edges below each point's bucket,
+    and a vectorized scan adds the few edges inside the bucket.  Points
+    within _EDGE_TOL of an edge, where rounding decides the side, go
+    through ceil(n * beta_inv_cdf(u)) itself, so every index is bitwise
+    the one the inverse CDF gives.
+    """
+    edges = np.concatenate(([-np.inf], beta_cdf(np.arange(1, n) / n, a, b), [np.inf]))
+    scale = float(_GUIDE_PER_INDEX * n)
+    # guide[g] = #{edges whose bucket floor(F * scale) lies below g}
+    guide = np.searchsorted(np.floor(edges[1:-1] * scale), np.arange(_GUIDE_PER_INDEX * n + 1))
+
+    below, above = edges[:-1], edges[1:]  # the edges just below and above a count
+
+    def lookup(u, out):
+        count = guide[(u * scale).astype(np.intp)]
+        upper = above[count]
+        pending = np.flatnonzero(upper < u)
+        while pending.size:
+            step = count[pending] + 1
+            count[pending] = step
+            nxt = above[step]
+            upper[pending] = nxt
+            pending = pending[nxt < u[pending]]
+        margin = u - below[count]
+        np.minimum(margin, np.subtract(upper, u, out=upper), out=margin)
+        near = np.flatnonzero(margin < _EDGE_TOL)
+        np.add(count, 1, out=out)
+        if near.size:
+            x = np.asarray(beta_inv_cdf(u[near], a, b), dtype=float)
+            out[near] = np.maximum(np.ceil(x * n), 1)
+
+    def fill(u, out):
+        for lo in range(0, len(u), _LOOKUP_BLOCK):
+            lookup(u[lo : lo + _LOOKUP_BLOCK], out[lo : lo + _LOOKUP_BLOCK])
+
+    return fill
+
+
+def _custom_index_map(n, warp):
+    """Index map ceil(n * warp(u)) for a callable inverse CDF."""
+
+    def fill(u, out):
+        out[:] = np.ceil(np.asarray(warp(u), dtype=float) * n)
+        np.maximum(out, 1, out=out)  # warp underflow could round an index to 0
+
+    return fill
+
+
+def _assemble(n, index_map, warp_tag, uniforms=None):
+    """Pair sequence from a source of uniforms and an index map.
 
     `uniforms(out, column, lo)` fills `out` with points lo.. of column i (0)
-    or j (1); the default is the 2-D Halton sequence.  Column i is filled
-    before column j, in blocks, so peak memory stays near the output arrays.
+    or j (1); the default is the 2-D Halton sequence.  `index_map(u, out)`
+    writes the index in 1..n of each point.  Column i is filled before
+    column j, in blocks, so peak memory stays near the output arrays.
     """
     m = pair_count(n)
     k = m - n
-    if uniforms is None:
-        uniforms = _halton_source(k)
     if warp_tag != DEFAULT_WARP:
         log.warning(
             "non-default pair sequence: the 1.15 correction was calibrated "
             "for the default Beta(0.7,0.7) warp"
         )
+    # the outputs first, so the block buffers freed on return sit above them
     i = np.empty(m, dtype=np.int64)
     j = np.empty(m, dtype=np.int64)
+    if uniforms is None:
+        uniforms = _halton_source(k)
     u = np.empty(min(k, _BLOCK))
     for column, idx in enumerate((i, j)):
         for lo in range(0, k, _BLOCK):
             hi = min(lo + _BLOCK, k)
             u_blk = u[: hi - lo]
             uniforms(u_blk, column, lo)
-            x = np.asarray(warp_inverse(u_blk), dtype=float)
-            np.ceil(np.multiply(x, n, out=x), out=x)
-            idx[lo:hi] = x
+            index_map(u_blk, idx[lo:hi])
     i[k:] = np.arange(1, n + 1, dtype=np.int64)
     j[k:] = i[k:]
-    # warp underflow could round an index to 0; halton itself never hits 0
-    np.maximum(i, 1, out=i)
-    np.maximum(j, 1, out=j)
     return PairSequence(n=n, i=i, j=j, warp=warp_tag)
-
-
-def _beta_warp(a, b):
-    return lambda u: np.asarray(beta_inv_cdf(u, a, b))
 
 
 @functools.lru_cache(maxsize=16)
 def _generate_pairs_beta(n, a, b):
-    return _assemble(n, _beta_warp(a, b), (a, b))
+    return _assemble(n, _beta_index_map(n, a, b), (a, b))
 
 
 def generate_pairs(n, warp=DEFAULT_WARP):
@@ -203,7 +273,7 @@ def generate_pairs(n, warp=DEFAULT_WARP):
     """
     n = _sample_size(n)
     if callable(warp):
-        return _assemble(n, lambda u: np.asarray(warp(u), dtype=float), ("custom", warp))
+        return _assemble(n, _custom_index_map(n, warp), ("custom", warp))
     a, b = warp
     return _generate_pairs_beta(n, float(a), float(b))
 
@@ -224,7 +294,7 @@ def random_pairs(n, seed):
     rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(0xA17,)))
     return _assemble(
         n,
-        _beta_warp(*DEFAULT_WARP),
+        _beta_index_map(n, *DEFAULT_WARP),
         ("random-uniform", int(seed)),
         uniforms=lambda out, column, lo: rng.random(out=out),
     )

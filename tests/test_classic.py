@@ -2,10 +2,13 @@
 empirical-null machinery, and add-one p-value validity."""
 
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
 
+from pitos import classic
 from pitos.classic import (
     EmpiricalNull,
     ad_statistic,
@@ -123,6 +126,44 @@ class TestEmpiricalNull:
         assert again.statistics.tobytes() == first.statistics.tobytes()
         assert path.read_bytes() == whole
         assert any("unreadable null cache" in r.message for r in caplog.records)
+
+    def test_concurrent_writers_of_one_null(self, cache_dir, caplog, monkeypatch):
+        # more writers than cores, released together right before the write
+        writers = 4
+        barrier = threading.Barrier(writers, timeout=30)
+        store = classic._store_null
+
+        def store_together(path, null):
+            barrier.wait()
+            store(path, null)
+
+        monkeypatch.setattr(classic, "_store_null", store_together)
+        results = [None] * writers
+
+        def build(w):
+            results[w] = build_empirical_null("ks", 40, B=3000, seed=6, cache_dir=cache_dir)
+
+        threads = [threading.Thread(target=build, args=(w,)) for w in range(writers)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert all(r is not None for r in results)
+        for r in results[1:]:
+            assert r.statistics.tobytes() == results[0].statistics.tobytes()
+        # the final file alone: no temp file left behind, no failed write
+        assert [p.name for p in cache_dir.iterdir()] == ["ks_n40_B3000_s6.npz"]
+        assert not caplog.records
+        monkeypatch.undo()
+        again = build_empirical_null("ks", 40, B=3000, seed=6, cache_dir=cache_dir)
+        assert again.statistics.tobytes() == results[0].statistics.tobytes()
+        assert not caplog.records  # loaded from the file, not rebuilt
 
     def test_lrt_needs_density_and_label_separates_cache(self, cache_dir):
         with pytest.raises(ValueError):

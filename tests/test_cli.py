@@ -235,6 +235,20 @@ class TestTabularSubcommands:
         lines = proc.stderr.splitlines()
         assert len(lines) == 1 and "1.15 correction" in lines[0]
 
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    def test_random_pair_study_builds_sequence_once(self, tmp_path, threads):
+        # one random-uniform sequence per study, not one per distribution
+        proc = run_entrypoint(
+            ["study", "--scenario", "random-gap", "--dists", "3", "--reps", "30",
+             "--n", "25", "--tests", "pitos,ad", "--random-pair-seed", "2",
+             "--null-b", "200", "--threads", threads, "--cache-dir", str(tmp_path / "cache"),
+             "--out", str(tmp_path / "study.csv")],
+            tmp_path,
+        )
+        assert proc.returncode == 0
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1 and "1.15 correction" in lines[0]
+
     def test_help_exits_zero(self, capsys):
         assert main(["--help"]) == 0
         capsys.readouterr()

@@ -109,6 +109,33 @@ class TestPitosPValue:
         assert gathered.detail.u.tobytes() == direct.detail.u.tobytes()
         assert gathered.detail.p.tobytes() == direct.detail.p.tobytes()
 
+    def test_block_pool_is_bitwise_neutral(self, monkeypatch):
+        # many short blocks: the sum is the same left-to-right block sum
+        # whether one thread or a pool evaluated the blocks
+        data = np.random.default_rng(23).random(150)
+        pairs = generate_pairs(150)
+        monkeypatch.setattr(core, "_DEDUP_LIMIT", 0)
+        monkeypatch.setattr(core, "_BLOCK", 997)
+        u = core._conditional_u_block(np.sort(data), pairs.i, pairs.j, 150, np.empty(pairs.m))
+        terms = core._combination_terms(u, np.empty(pairs.m))
+        total = 0.0
+        for lo in range(0, pairs.m, 997):
+            total += float(terms[lo : lo + 997].sum())
+        pools = []
+
+        class RecordingPool(core.ThreadPoolExecutor):
+            def __init__(self, max_workers):
+                pools.append(max_workers)
+                super().__init__(max_workers=max_workers)
+
+        monkeypatch.setattr(core, "ThreadPoolExecutor", RecordingPool)
+        for cores in (1, 2, 5):
+            monkeypatch.setattr(core, "_available_cores", lambda cores=cores: cores)
+            v = pitos_p_value(data, pairs, detail=True)
+            assert v.statistic.hex() == (total / pairs.m).hex()
+            assert v.detail.u.tobytes() == u.tobytes()
+        assert pools == [2, 5]
+
     def test_correction_ordering(self):
         rng = np.random.default_rng(17)
         for _ in range(50):

@@ -1,14 +1,18 @@
 """Halton values and the pair sequence: hand-computed radical inverses,
 length arithmetic, diagonal suffix, determinism, the oracle-composed first
-pair, boundary-heavy coverage, and the frozen golden file."""
+pair, boundary-heavy coverage, the frozen golden file, and the edge-lookup
+index map and table-driven radical inverse against the direct paths."""
 
 import math
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from pitos import pairs as pairs_mod
 from pitos.pairs import PairSequence, generate_pairs, halton, pair_count, random_pairs
+from pitos.special import beta_inv_cdf
 
 from conftest import beta_inv_cdf_bisection, radical_inverse_fraction
 
@@ -140,3 +144,128 @@ class TestRandomPairSource:
         np.testing.assert_array_equal(a.i, b.i)
         assert not np.array_equal(a.i, c.i)
         assert not np.array_equal(a.i, generate_pairs(40).i)
+
+
+def _halton_column(k, base):
+    """Points 1..k of the base-`base` Halton sequence, one digit per pass."""
+    ndigits = pairs_mod._digit_count(k, base)
+    idx = np.arange(1, k + 1, dtype=np.int64)
+    num = np.zeros(k, dtype=np.int64)
+    for _ in range(ndigits):
+        num = num * base + idx % base
+        idx //= base
+    return num / float(base**ndigits)
+
+
+def _inverse_warp(u, a=0.7, b=0.7):
+    """The direct map's warp x = F^-1(u), in blocks to bound memory, on two
+    threads (elementwise, so the blocking changes no value)."""
+    block = 1 << 20
+    with ThreadPoolExecutor(max_workers=2) as pool:
+        parts = pool.map(lambda lo: beta_inv_cdf(u[lo : lo + block], a, b), range(0, len(u), block))
+        return np.concatenate([np.empty(0), *parts])
+
+
+def _direct_indices(x, n):
+    """The direct discretization max(1, ceil(n x)) of warped points x."""
+    return np.maximum(np.ceil(x * n), 1).astype(np.int64)
+
+
+class TestIndexMapMatchesInverse:
+    """The edge-lookup index map against ceil(n * beta_inv_cdf(u)), exactly.
+
+    Point t of a Halton column is the same double for every n, so the warp
+    is computed once over the longest prefix and each n reads its own.
+    """
+
+    @staticmethod
+    def _check(n, warped):
+        seq = generate_pairs(n)
+        k = seq.m - n
+        diag = np.arange(1, n + 1)
+        for got, x in zip((seq.i, seq.j), warped):
+            np.testing.assert_array_equal(got, np.concatenate([_direct_indices(x[:k], n), diag]))
+
+    def test_every_n_up_to_2000(self):
+        k = pair_count(2000) - 2000
+        warped = [_inverse_warp(_halton_column(k, base)) for base in (2, 3)]
+        for n in range(1, 2001):
+            self._check(n, warped)
+            generate_pairs.cache_clear()
+
+    def test_large_n(self):
+        k = pair_count(10**5) - 10**5
+        for column, base in enumerate((2, 3)):
+            x = _inverse_warp(_halton_column(k, base))
+            for n in (10**4, 10**5):
+                seq = generate_pairs(n)
+                got = (seq.i, seq.j)[column][: seq.m - n]
+                np.testing.assert_array_equal(got, _direct_indices(x[: seq.m - n], n))
+            del x
+        generate_pairs.cache_clear()
+
+    @pytest.mark.parametrize(
+        "n, seed", [(1, 5), (2, 0), (37, 3), (1000, 11), (11300, 3), (20000, 8)]
+    )
+    def test_random_pairs(self, n, seed):
+        seq = random_pairs(n, seed)
+        k = seq.m - n
+        rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(0xA17,)))
+        for got in (seq.i, seq.j):  # column i draws all its uniforms first
+            np.testing.assert_array_equal(got[:k], _direct_indices(_inverse_warp(rng.random(k)), n))
+
+    def test_near_edge_points_take_the_inverse_path(self, monkeypatch):
+        # u = 1/2 is the first Halton point and sits on the middle edge of
+        # the symmetric warp for even n; rounding decides its side
+        calls = []
+
+        def spy(u, a, b):
+            calls.append(np.array(u))
+            return beta_inv_cdf(u, a, b)
+
+        monkeypatch.setattr(pairs_mod, "beta_inv_cdf", spy)
+        generate_pairs.cache_clear()
+        seq = generate_pairs(100)
+        generate_pairs.cache_clear()
+        assert any(0.5 in c for c in calls)
+        assert sum(c.size for c in calls) < 10  # a handful of points, not the sequence
+        assert seq.i[0] == math.ceil(100 * beta_inv_cdf(0.5, 0.7, 0.7))
+
+    def test_custom_beta_shapes(self):
+        # edges crowd into the first and last guide buckets when F is flat there
+        for warp in ((2.0, 2.0), (5.0, 0.5)):
+            seq = generate_pairs(300, warp=warp)
+            k = seq.m - 300
+            for column, base in enumerate((2, 3)):
+                x = _inverse_warp(_halton_column(k, base), *warp)
+                np.testing.assert_array_equal((seq.i, seq.j)[column][:k], _direct_indices(x, 300))
+
+
+class TestTableDrivenRadicalInverse:
+    """Chunked digit reversal against the scalar halton()."""
+
+    @pytest.mark.parametrize("base", [2, 3])
+    def test_digit_counts_and_chunk_remainders(self, base):
+        # every digit count from the minimum up covers each remainder chunk
+        rng = np.random.default_rng(base)
+        first = 1 + int(rng.integers(0, 5000))
+        count = 500
+        for ndigits in range(pairs_mod._digit_count(first + count, base), 31 if base == 2 else 20):
+            out = np.empty(count)
+            work = tuple(np.empty(count, dtype=np.int64) for _ in range(4))
+            pairs_mod._radical_inverse_fill(out, first, base, ndigits, work)
+            assert out.tolist() == [halton(t, base) for t in range(first, first + count)]
+
+    def test_block_boundaries_and_short_last_block(self):
+        block = pairs_mod._BLOCK
+        k = block + 777
+        fill = pairs_mod._halton_source(k)
+        for column, base in enumerate((2, 3)):
+            head = np.empty(block)
+            fill(head, column, 0)
+            tail = np.empty(k - block)
+            fill(tail, column, block)
+            for lo, got in ((0, head), (block, tail)):
+                for t in list(range(8)) + list(range(len(got) - 8, len(got))):
+                    assert got[t] == halton(lo + t + 1, base)
+            assert tail.tolist() == [halton(t, base) for t in range(block + 1, k + 1)]
