@@ -12,7 +12,7 @@ Statistics (all reject for large values, data on [0, 1], X_(i) sorted):
 
 p-values use the add-one estimator (1 + #{null >= observed}) / (B + 1)
 against B simulated null statistics, which are cached on disk keyed by
-(test, n, B, seed).
+(test, n, B, seed); a cache file of another NULL_CACHE_VERSION is rebuilt.
 """
 
 import hashlib
@@ -41,14 +41,17 @@ __all__ = [
     "nb_statistic",
     "classic_test",
     "CLASSIC_TESTS",
-    "DEFAULT_NULL_B",
+    "VERDICT_NULL_B",
     "resolve_cache_dir",
 ]
 
 log = logging.getLogger(__name__)
 
 CLASSIC_TESTS = ("ad", "nb", "ks", "cvm")
-DEFAULT_NULL_B = 100_000
+VERDICT_NULL_B = 100_000  # null draws behind a single verdict's p-value
+# Written into every cache file's header; a file with another or no version
+# is rebuilt.  Bump it whenever a statistic or the stored layout changes.
+NULL_CACHE_VERSION = 1
 CACHE_ENV_VAR = "PITOS_CACHE_DIR"
 
 _SQRT3 = math.sqrt(3.0)
@@ -129,19 +132,25 @@ def _as_sample(sample):
     return sample if isinstance(sample, OrderedSample) else OrderedSample(sample)
 
 
-_BATCH = {"ad": _ad_batch, "nb": _nb_batch, "ks": _ks_batch, "cvm": _cvm_batch}
-_NEEDS_SORT = {"ad": True, "nb": False, "ks": True, "cvm": True}
+# test -> (row-batched kernel, whether the kernel takes sorted rows)
+_BATCH = {
+    "ad": (_ad_batch, True),
+    "nb": (_nb_batch, False),
+    "ks": (_ks_batch, True),
+    "cvm": (_cvm_batch, True),
+}
 
 
 def batch_statistics(test, rows, sorted_rows=None):
     """Statistics for a (replicates, n) matrix of samples; rows are raw data."""
     if test not in _BATCH:
         raise ValueError(f"unknown test identifier {test!r}")
-    if _NEEDS_SORT[test]:
-        if sorted_rows is None:
-            sorted_rows = np.sort(rows, axis=1)
-        return _BATCH[test](sorted_rows)
-    return _BATCH[test](rows)
+    kernel, needs_sort = _BATCH[test]
+    if not needs_sort:
+        return kernel(rows)
+    if sorted_rows is None:
+        sorted_rows = np.sort(rows, axis=1)
+    return kernel(sorted_rows)
 
 
 # ---------------------------------------------------------------------------
@@ -185,15 +194,10 @@ def _cache_path(cache_dir, test, n, B, seed, label):
     return Path(cache_dir) / f"{name}.npz"
 
 
-def _replicate_rng(seed, r):
-    # documented stream derivation: one child stream per (seed, replicate_index)
-    return stream(seed, r)
-
-
 def build_empirical_null(
     test,
     n,
-    B=DEFAULT_NULL_B,
+    B=VERDICT_NULL_B,
     seed=0,
     *,
     alt_log_density=None,
@@ -231,7 +235,8 @@ def build_empirical_null(
         c = min(chunk, B - lo)
         rows = np.empty((c, n))
         for r in range(c):
-            rows[r] = _replicate_rng(seed, lo + r).random(n)
+            # documented stream derivation: one child stream per (seed, replicate_index)
+            rows[r] = stream(seed, lo + r).random(n)
         if test == "lrt":
             vals = np.asarray(alt_log_density(rows), dtype=float)
             stats[lo : lo + c] = vals.sum(axis=1)
@@ -243,12 +248,14 @@ def build_empirical_null(
     return null
 
 
+def _cache_header(test, n, B, seed):
+    return {"test": test, "n": n, "B": B, "seed": seed, "version": NULL_CACHE_VERSION}
+
+
 def _store_null(path, null):
     try:
         path.parent.mkdir(parents=True, exist_ok=True)
-        header = json.dumps(
-            {"test": null.test_name, "n": null.n, "B": null.B, "seed": null.seed}
-        )
+        header = json.dumps(_cache_header(null.test_name, null.n, null.B, null.seed))
         # a temp file of its own, created exclusively, so concurrent writers
         # of one null never share it; open() keeps the umask-derived mode
         tmp = path.with_name(f"{path.stem}.{secrets.token_hex(8)}.tmp.npz")
@@ -267,8 +274,8 @@ def _load_null(path, test, n, B, seed):
     try:
         with np.load(path, allow_pickle=False) as payload:
             header = json.loads(str(payload["header"]))
-            if header != {"test": test, "n": n, "B": B, "seed": seed}:
-                return None
+            if header != _cache_header(test, n, B, seed):
+                return None  # another null, or one from an older format or statistic
             return EmpiricalNull(
                 test_name=test, n=n, statistics=payload["statistics"], B=B, seed=seed
             )
@@ -291,13 +298,12 @@ def empirical_p_value(null, observed):
     return float(p) if p.ndim == 0 else p
 
 
-def classic_test(test, sample, *, null_b=DEFAULT_NULL_B, seed=0, cache_dir=None):
+def classic_test(test, sample, *, null_b=VERDICT_NULL_B, seed=0, cache_dir=None):
     """Statistic plus empirical-null p-value for one of the fixed benchmark tests."""
     if test not in CLASSIC_TESTS:
         raise ValueError(f"unknown test identifier {test!r}")
     sample = _as_sample(sample)
-    stat_fn = {"ad": ad_statistic, "nb": nb_statistic, "ks": ks_statistic, "cvm": cvm_statistic}
-    observed = stat_fn[test](sample)
+    observed = float(batch_statistics(test, sample.values[None], sample.order_statistics[None])[0])
     null = build_empirical_null(test, sample.n, null_b, seed, cache_dir=cache_dir)
     return TestVerdict(
         test_name=test.upper(),

@@ -2,7 +2,8 @@
 
 Subcommands: test, pairs, sample, scenarios, power, calibrate, study.
 Single verdicts print as one-line JSON on stdout; tabular outputs are CSV
-files with a header row plus a JSON sidecar (<out>.meta.json) recording the
+with a header row.  The Monte Carlo studies (power, calibrate, study)
+written with --out also get a JSON sidecar (<out>.meta.json) recording the
 configuration and seeds.  Identical invocations are byte-identical,
 including under different --threads values (threads only schedule work and
 are deliberately left out of the sidecar).
@@ -16,41 +17,30 @@ import csv
 import io
 import json
 import logging
+import math
 import sys
 from pathlib import Path
 
 import numpy as np
 
-from .classic import CLASSIC_TESTS, classic_test
-from .classic import DEFAULT_NULL_B as CLASSIC_NULL_B
+from .classic import CLASSIC_TESTS, VERDICT_NULL_B, classic_test
 from .core import OrderedSample, pitos_p_value
 from .distributions import SCENARIOS, ScenarioSampler, zoo_lookup
 from .harness import (
-    DEFAULT_NULL_B,
     DEFAULT_REPLICATES,
+    STUDY_NULL_B,
     null_pvalue_cdf,
     power_curve,
     scenario_study,
 )
-
-PAPER_SCALE = 100_000
-
-
-def _resolve_counts(args):
-    """Replicates and null draws: explicit flags win, then --paper-scale,
-    then the desk-scale defaults."""
-    reps = args.reps
-    if reps is None:
-        reps = PAPER_SCALE if args.paper_scale else DEFAULT_REPLICATES
-    null_b = args.null_b
-    if null_b is None:
-        null_b = PAPER_SCALE if args.paper_scale else DEFAULT_NULL_B
-    return reps, null_b
 from .pairs import generate_pairs
 from .rosenblatt import randomized_pit
 from .streams import stream
 
 __all__ = ["main", "entrypoint"]
+
+PAPER_SCALE = 100_000
+DEFAULT_ROSTER = ",".join(("pitos",) + CLASSIC_TESTS)
 
 CALIBRATION_GRID = (
     [round(0.001 * k, 3) for k in range(1, 10)]
@@ -61,6 +51,29 @@ CALIBRATION_GRID = (
 
 class CliError(Exception):
     """Validation or runtime failure that should become a one-line diagnostic."""
+
+
+def _resolve_counts(args):
+    """Replicates and null draws: explicit flags win, then --paper-scale,
+    then the desk-scale defaults."""
+    reps = args.reps
+    if reps is None:
+        reps = PAPER_SCALE if args.paper_scale else DEFAULT_REPLICATES
+    null_b = args.null_b
+    if null_b is None:
+        null_b = PAPER_SCALE if args.paper_scale else STUDY_NULL_B
+    return reps, null_b
+
+
+def _warp_shapes(text):
+    """--warp A,B: exactly two positive finite Beta shapes."""
+    try:
+        a, b = (float(v) for v in text.split(","))
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected two shapes A,B, got {text!r}") from None
+    if not all(math.isfinite(v) and v > 0.0 for v in (a, b)):
+        raise argparse.ArgumentTypeError(f"shapes must be positive and finite, got {text!r}")
+    return a, b
 
 
 def read_values(path):
@@ -100,8 +113,17 @@ def _csv_text(header, rows):
     return buf.getvalue()
 
 
-def _write_sidecar(out_path, config):
-    sidecar = Path(str(out_path) + ".meta.json")
+def _write_study_table(args, null_b, header, rows, config):
+    """A study's CSV to --out (or stdout).  With --out it also writes the
+    sidecar: the handler's own `config` plus the keys every study records."""
+    _write_text(args.out, _csv_text(header, rows))
+    if args.out is None:
+        return
+    config.update(
+        subcommand=args.subcommand, null_b=null_b,
+        random_pair_seed=args.random_pair_seed, seed=args.seed,
+    )
+    sidecar = Path(str(args.out) + ".meta.json")
     sidecar.write_text(json.dumps(config, indent=2, sort_keys=True) + "\n", encoding="utf-8")
 
 
@@ -110,6 +132,10 @@ def _write_sidecar(out_path, config):
 
 
 def _cmd_test(args):
+    if args.method != "pitos":
+        for flag, value in (("--emit-detail", args.emit_detail), ("--warp", args.warp)):
+            if value is not None:
+                raise CliError(f"{flag} applies only to --method pitos")
     values = read_values(args.input)
     seed = args.seed
     if args.null_cdf is not None:
@@ -120,8 +146,8 @@ def _cmd_test(args):
     sample = OrderedSample(values)
 
     if args.method == "pitos":
-        if args.warp:
-            pairs = generate_pairs(sample.n, warp=tuple(args.warp))
+        if args.warp is not None:
+            pairs = generate_pairs(sample.n, warp=args.warp)
         else:
             pairs = generate_pairs(sample.n)
         verdict = pitos_p_value(sample, pairs, detail=args.emit_detail is not None)
@@ -211,19 +237,13 @@ def _cmd_power(args):
     ]
     header = ["distribution", "n", "test", "alpha", "replicates",
               "rejection_rate", "mc_std_err", "seed"]
-    _write_text(args.out, _csv_text(header, rows))
-    if args.out is not None:
-        _write_sidecar(args.out, {
-            "subcommand": "power",
-            "distribution": reports[0].distribution,
-            "tests": list(tests),
-            "n_grid": n_grid,
-            "alpha": args.alpha,
-            "replicates": reps,
-            "null_b": null_b,
-            "random_pair_seed": args.random_pair_seed,
-            "seed": args.seed,
-        })
+    _write_study_table(args, null_b, header, rows, {
+        "distribution": reports[0].distribution,
+        "tests": list(tests),
+        "n_grid": n_grid,
+        "alpha": args.alpha,
+        "replicates": reps,
+    })
     return 0
 
 
@@ -244,26 +264,20 @@ def _cmd_calibrate(args):
     else:
         header = ["threshold", "cdf_p"]
         rows = [(repr(t), repr(a)) for t, a in zip(grid, result.series["p"].tolist())]
-    _write_text(args.out, _csv_text(header, rows))
-    if args.out is not None:
-        _write_sidecar(args.out, {
-            "subcommand": "calibrate",
-            "test": args.test,
-            "n": args.n,
-            "replicates": reps,
-            "null_b": null_b,
-            "random_pair_seed": args.random_pair_seed,
-            "seed": args.seed,
-            "grid": grid,
-        })
+    _write_study_table(args, null_b, header, rows, {
+        "test": args.test,
+        "n": args.n,
+        "replicates": reps,
+        "grid": grid,
+    })
     return 0
 
 
 def _cmd_study(args):
     tests = _parse_tests(args.tests)
-    _, null_b = _resolve_counts(args)
+    reps, null_b = _resolve_counts(args)
     summary = scenario_study(
-        args.scenario, args.dists, args.reps, args.n, args.alpha, args.seed,
+        args.scenario, args.dists, reps, args.n, args.alpha, args.seed,
         tests=tests, null_b=null_b, cache_dir=args.cache_dir, threads=args.threads,
         pair_seed=args.random_pair_seed,
     )
@@ -273,21 +287,15 @@ def _cmd_study(args):
         + [repr(float(v)) for v in summary.rank_freq[k]]
         for k, test in enumerate(tests)
     ]
-    _write_text(args.out, _csv_text(header, rows))
-    if args.out is not None:
-        _write_sidecar(args.out, {
-            "subcommand": "study",
-            "scenario": args.scenario,
-            "tests": list(tests),
-            "num_distributions": args.dists,
-            "replicates_per_distribution": args.reps,
-            "n": args.n,
-            "alpha": args.alpha,
-            "null_b": null_b,
-            "random_pair_seed": args.random_pair_seed,
-            "seed": args.seed,
-            "distributions": [rep.distribution for rep in summary.reports],
-        })
+    _write_study_table(args, null_b, header, rows, {
+        "scenario": args.scenario,
+        "tests": list(tests),
+        "num_distributions": args.dists,
+        "replicates_per_distribution": reps,
+        "n": args.n,
+        "alpha": args.alpha,
+        "distributions": [rep.distribution for rep in summary.reports],
+    })
     return 0
 
 
@@ -303,13 +311,31 @@ def build_parser():
     )
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
-    def add_common(p, *, threads=False):
+    def add_common(p, *, cache_dir=True, threads=False):
         p.add_argument("--seed", type=int, default=0, help="seed controlling all randomness")
-        p.add_argument("--cache-dir", default=None,
-                       help="empirical-null cache directory (default $PITOS_CACHE_DIR or ~/.cache/pitos)")
+        if cache_dir:
+            p.add_argument("--cache-dir", default=None,
+                           help="empirical-null cache directory (default $PITOS_CACHE_DIR or ~/.cache/pitos)")
         if threads:
             p.add_argument("--threads", type=int, default=1,
                            help="worker threads; outputs are identical for any value")
+
+    def add_study_flags(p, *, reps=True, roster=True):
+        """Flags shared by power, calibrate and study: --reps where it is
+        optional, and the roster and level where tests are compared."""
+        if roster:
+            p.add_argument("--tests", default=DEFAULT_ROSTER, help="comma-separated roster")
+            p.add_argument("--alpha", type=float, default=0.05)
+        if reps:
+            p.add_argument("--reps", type=int, default=None,
+                           help=f"replicates (default {DEFAULT_REPLICATES}, or {PAPER_SCALE} with --paper-scale)")
+        p.add_argument("--null-b", type=int, default=None,
+                       help=f"null draws (default {STUDY_NULL_B}, or {PAPER_SCALE} with --paper-scale)")
+        p.add_argument("--paper-scale", action="store_true",
+                       help=f"full-size counts: {PAPER_SCALE} for each count not given explicitly")
+        p.add_argument("--random-pair-seed", type=int, default=None,
+                       help="experiment: seeded uniform pair source instead of the default sequence")
+        p.add_argument("--out", default=None)
 
     p = sub.add_parser("test", help="run one test on a data file")
     p.add_argument("--input", required=True, help="one numeric value per line")
@@ -318,9 +344,9 @@ def build_parser():
                    help="map data through this zoo distribution's PIT before testing")
     p.add_argument("--emit-detail", default=None, metavar="PATH",
                    help="write per-pair detail CSV (pitos only)")
-    p.add_argument("--warp", default=None, type=lambda s: [float(v) for v in s.split(",")],
-                   metavar="A,B", help="custom Beta warp shapes for the pair sequence (pitos only)")
-    p.add_argument("--null-b", type=int, default=CLASSIC_NULL_B,
+    p.add_argument("--warp", default=None, type=_warp_shapes, metavar="A,B",
+                   help="custom Beta warp shapes for the pair sequence (pitos only)")
+    p.add_argument("--null-b", type=int, default=VERDICT_NULL_B,
                    help="null replicates behind classical p-values")
     add_common(p)
     p.set_defaults(handler=_cmd_test)
@@ -334,46 +360,28 @@ def build_parser():
     p.add_argument("--dist", required=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--out", default=None)
-    add_common(p)
+    add_common(p, cache_dir=False)
     p.set_defaults(handler=_cmd_sample)
 
     p = sub.add_parser("scenarios", help="draw distributions from a scenario, emit parameters as CSV")
     p.add_argument("--name", required=True, choices=SCENARIOS)
     p.add_argument("--count", type=int, required=True)
     p.add_argument("--out", default=None)
-    add_common(p)
+    add_common(p, cache_dir=False)
     p.set_defaults(handler=_cmd_scenarios)
 
     p = sub.add_parser("power", help="rejection rates over an n grid")
     p.add_argument("--dist", required=True, help="zoo distribution or scenario name")
-    p.add_argument("--tests", default="pitos,ad,nb,ks,cvm", help="comma-separated roster")
     p.add_argument("--n", required=True, help="comma-separated sample sizes")
-    p.add_argument("--alpha", type=float, default=0.05)
-    p.add_argument("--reps", type=int, default=None,
-                   help=f"replicates (default {DEFAULT_REPLICATES}, or 100000 with --paper-scale)")
-    p.add_argument("--null-b", type=int, default=None,
-                   help=f"null draws (default {DEFAULT_NULL_B}, or 100000 with --paper-scale)")
-    p.add_argument("--paper-scale", action="store_true",
-                   help="full-size counts: 100000 replicates and null draws")
-    p.add_argument("--random-pair-seed", type=int, default=None,
-                   help="experiment: seeded uniform pair source instead of the default sequence")
-    p.add_argument("--out", default=None)
+    add_study_flags(p)
     add_common(p, threads=True)
     p.set_defaults(handler=_cmd_power)
 
     p = sub.add_parser("calibrate", help="null p-value CDF on a threshold grid")
     p.add_argument("--test", default="pitos", choices=("pitos",) + CLASSIC_TESTS)
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--reps", type=int, default=None,
-                   help=f"replicates (default {DEFAULT_REPLICATES}, or 100000 with --paper-scale)")
-    p.add_argument("--null-b", type=int, default=None,
-                   help=f"null draws (default {DEFAULT_NULL_B}, or 100000 with --paper-scale)")
-    p.add_argument("--paper-scale", action="store_true",
-                   help="full-size counts: 100000 replicates and null draws")
-    p.add_argument("--random-pair-seed", type=int, default=None,
-                   help="experiment: seeded uniform pair source instead of the default sequence")
     p.add_argument("--grid", default=None, help="comma-separated thresholds in [0, 1]")
-    p.add_argument("--out", default=None)
+    add_study_flags(p, roster=False)
     add_common(p)
     p.set_defaults(handler=_cmd_calibrate)
 
@@ -382,15 +390,7 @@ def build_parser():
     p.add_argument("--dists", type=int, required=True, help="number of distributions to draw")
     p.add_argument("--reps", type=int, required=True, help="replicates per distribution")
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--alpha", type=float, default=0.05)
-    p.add_argument("--tests", default="pitos,ad,nb,ks,cvm")
-    p.add_argument("--null-b", type=int, default=None,
-                   help=f"null draws (default {DEFAULT_NULL_B}, or 100000 with --paper-scale)")
-    p.add_argument("--paper-scale", action="store_true",
-                   help="full-size null draws: 100000")
-    p.add_argument("--random-pair-seed", type=int, default=None,
-                   help="experiment: seeded uniform pair source instead of the default sequence")
-    p.add_argument("--out", default=None)
+    add_study_flags(p, reps=False)
     add_common(p, threads=True)
     p.set_defaults(handler=_cmd_study)
 

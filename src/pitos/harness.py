@@ -26,11 +26,11 @@ from .streams import stream
 
 __all__ = [
     "ALL_TESTS",
-    "DEFAULT_NULL_B",
     "DEFAULT_REPLICATES",
     "NullPvalueCdf",
     "PowerReport",
     "RankSummary",
+    "STUDY_NULL_B",
     "estimate_power",
     "null_pitos_pvalues",
     "null_pvalue_cdf",
@@ -43,7 +43,7 @@ log = logging.getLogger(__name__)
 
 ALL_TESTS = ("pitos",) + CLASSIC_TESTS + ("lrt",)
 DEFAULT_REPLICATES = 2_000
-DEFAULT_NULL_B = 20_000
+STUDY_NULL_B = 20_000  # desk-scale null draws behind a study's classical p-values
 FAILURE_BUDGET = 0.001  # replicate-failure fraction tolerated per test
 
 
@@ -169,7 +169,7 @@ def estimate_power(
     replicates=DEFAULT_REPLICATES,
     seed=0,
     *,
-    null_b=DEFAULT_NULL_B,
+    null_b=STUDY_NULL_B,
     cache_dir=None,
     scen_code=0,
     dist_index=0,
@@ -220,7 +220,7 @@ def power_curve(
     replicates=DEFAULT_REPLICATES,
     seed=0,
     *,
-    null_b=DEFAULT_NULL_B,
+    null_b=STUDY_NULL_B,
     cache_dir=None,
     threads=1,
     pair_seed=None,
@@ -250,7 +250,7 @@ def scenario_study(
     seed=0,
     *,
     tests=("pitos",) + CLASSIC_TESTS,
-    null_b=DEFAULT_NULL_B,
+    null_b=STUDY_NULL_B,
     cache_dir=None,
     threads=1,
     pair_seed=None,
@@ -352,7 +352,7 @@ def null_pvalue_cdf(
     seed,
     grid,
     *,
-    null_b=DEFAULT_NULL_B,
+    null_b=STUDY_NULL_B,
     cache_dir=None,
     pair_seed=None,
 ):
@@ -378,12 +378,8 @@ def null_pvalue_cdf(
             "p_star": _ecdf_at(p_star, grid),
         }
     else:
-        rows = np.empty((replicates, n))
-        for r in range(replicates):
-            rows[r] = replicate_dataset(seed, 0, 0, r, uniform, n)
-        null = build_empirical_null(test, n, null_b, seed, cache_dir=cache_dir)
-        stats = batch_statistics(test, rows)
-        series = {"p": _ecdf_at(empirical_p_value(null, stats), grid)}
+        p = _pvalue_matrix(uniform, tests, n, replicates, seed, null_b, cache_dir, 0, 0, None)[0]
+        series = {"p": _ecdf_at(p, grid)}
 
     return NullPvalueCdf(
         test=test, n=int(n), replicates=int(replicates), seed=int(seed),

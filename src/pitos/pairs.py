@@ -214,16 +214,6 @@ def _beta_index_map(n, a, b):
     return fill
 
 
-def _custom_index_map(n, warp):
-    """Index map ceil(n * warp(u)) for a callable inverse CDF."""
-
-    def fill(u, out):
-        out[:] = np.ceil(np.asarray(warp(u), dtype=float) * n)
-        np.maximum(out, 1, out=out)  # warp underflow could round an index to 0
-
-    return fill
-
-
 def _assemble(n, index_map, warp_tag, uniforms=None):
     """Pair sequence from a source of uniforms and an index map.
 
@@ -256,7 +246,9 @@ def _assemble(n, index_map, warp_tag, uniforms=None):
     return PairSequence(n=n, i=i, j=j, warp=warp_tag)
 
 
-@functools.lru_cache(maxsize=16)
+# Two sequences: a study alternating between two sample sizes keeps both,
+# and a process testing many sizes does not keep every sequence it built.
+@functools.lru_cache(maxsize=2)
 def _generate_pairs_beta(n, a, b):
     return _assemble(n, _beta_index_map(n, a, b), (a, b))
 
@@ -264,16 +256,13 @@ def _generate_pairs_beta(n, a, b):
 def generate_pairs(n, warp=DEFAULT_WARP):
     """Pair sequence for sample size n, deterministic in (n, warp).
 
-    `warp` is the CDF whose inverse spreads the Halton points: either a
-    (a, b) Beta shape pair (default Beta(0.7, 0.7), the only supported
-    default) or a callable mapping uniforms in (0, 1) to [0, 1] for a
-    custom inverse CDF.  Results for Beta warps are memoized per (n, a, b);
-    use generate_pairs.cache_clear() to force regeneration.  Building a
+    `warp` is the (a, b) shape pair of the Beta CDF whose inverse spreads
+    the Halton points; the default Beta(0.7, 0.7) is the only supported
+    one.  The two most recently used (n, a, b) sequences are memoized; use
+    generate_pairs.cache_clear() to force regeneration.  Building a
     non-default sequence logs one warning on the ``pitos.pairs`` logger.
     """
     n = _sample_size(n)
-    if callable(warp):
-        return _assemble(n, _custom_index_map(n, warp), ("custom", warp))
     a, b = warp
     return _generate_pairs_beta(n, float(a), float(b))
 

@@ -1,6 +1,7 @@
 """Benchmark statistics against hand arithmetic, the brute-force KS oracle,
 empirical-null machinery, and add-one p-value validity."""
 
+import json
 import math
 import sys
 import threading
@@ -126,6 +127,17 @@ class TestEmpiricalNull:
         assert again.statistics.tobytes() == first.statistics.tobytes()
         assert path.read_bytes() == whole
         assert any("unreadable null cache" in r.message for r in caplog.records)
+
+    def test_cache_without_version_is_rebuilt(self, cache_dir):
+        first = build_empirical_null("nb", 14, B=250, seed=3, cache_dir=cache_dir)
+        (path,) = cache_dir.glob("*.npz")
+        whole = path.read_bytes()
+        # a file from before the version key, holding other statistics
+        old_header = json.dumps({"test": "nb", "n": 14, "B": 250, "seed": 3})
+        np.savez(path, header=np.array(old_header), statistics=np.zeros(250))
+        again = build_empirical_null("nb", 14, B=250, seed=3, cache_dir=cache_dir)
+        assert again.statistics.tobytes() == first.statistics.tobytes()
+        assert path.read_bytes() == whole
 
     def test_concurrent_writers_of_one_null(self, cache_dir, caplog, monkeypatch):
         # more writers than cores, released together right before the write

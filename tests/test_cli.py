@@ -1,6 +1,7 @@
 """Command-line behavior: happy paths, diagnostics with line numbers,
 deterministic outputs, and the sample-then-test round trip."""
 
+import hashlib
 import json
 import math
 import subprocess
@@ -109,6 +110,26 @@ class TestTestSubcommand:
         lines = detail.read_text().splitlines()
         assert lines[0] == "k,i,j,u,p"
         assert len(lines) == 1 + math.ceil(10 * 20 * math.log(20)) + 20
+
+    @pytest.mark.parametrize("flag, value", [("--emit-detail", "det.csv"), ("--warp", "2,2")])
+    def test_classic_method_rejects_pitos_flags(self, tmp_path, capsys, monkeypatch, flag, value):
+        monkeypatch.chdir(tmp_path)
+        Path("data.txt").write_text("0.2\n0.7\n0.4\n")
+        code, out, err = run_cli(
+            ["test", "--input", "data.txt", "--method", "ks", flag, value, "--cache-dir", "cache"],
+            capsys,
+        )
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and err.count("\n") == 1 and flag in err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["data.txt"]
+
+    @pytest.mark.parametrize("value", ["1", "1,2,3", "0,1", "-1,2", "inf,1", "nan,1", "a,b"])
+    def test_warp_takes_two_positive_finite_shapes(self, tmp_path, capsys, value):
+        path = tmp_path / "data.txt"
+        path.write_text("0.2\n0.7\n0.4\n")
+        code, out, err = run_cli(["test", "--input", str(path), f"--warp={value}"], capsys)
+        assert code == 2 and out == ""
+        assert "argument --warp" in err
 
     def test_custom_warp_warns(self, tmp_path):
         path = tmp_path / "data.txt"
@@ -249,6 +270,14 @@ class TestTabularSubcommands:
         lines = proc.stderr.splitlines()
         assert len(lines) == 1 and "1.15 correction" in lines[0]
 
+    @pytest.mark.parametrize("argv", [
+        ["sample", "--dist", "uniform", "--n", "5"],
+        ["scenarios", "--name", "outliers", "--count", "2"],
+    ])
+    def test_no_cache_dir_where_no_null_is_read(self, tmp_path, capsys, argv):
+        assert main(argv + ["--cache-dir", str(tmp_path)]) == 2
+        assert "--cache-dir" in capsys.readouterr().err
+
     def test_help_exits_zero(self, capsys):
         assert main(["--help"]) == 0
         capsys.readouterr()
@@ -256,6 +285,82 @@ class TestTabularSubcommands:
     def test_unknown_flag_nonzero(self, capsys):
         assert main(["pairs", "--n", "5", "--bogus"]) != 0
         capsys.readouterr()
+
+
+# md5 of stdout, the --out CSV (or --emit-detail CSV) and the sidecar,
+# frozen from the implementation that declared each study's flags and wrote
+# each sidecar separately; {out}, {cache} and {data} are filled per run.
+FROZEN_CLI = {
+    "power": (
+        ["power", "--dist", "uniform", "--tests", "pitos,ks", "--n", "10,20", "--reps", "50",
+         "--null-b", "200", "--seed", "2", "--out", "{out}", "--cache-dir", "{cache}"],
+        ("d41d8cd98f00b204e9800998ecf8427e", "e3cfcd0e8ec8bad0d98e0caeddcbe373",
+         "bcb45c5091eaf9fd3a24848b592ba4e4"),
+    ),
+    "power_random_pairs": (
+        ["power", "--dist", "uniform", "--tests", "pitos,ks", "--n", "10,20", "--reps", "40",
+         "--null-b", "200", "--seed", "2", "--random-pair-seed", "9", "--out", "{out}",
+         "--cache-dir", "{cache}"],
+        ("d41d8cd98f00b204e9800998ecf8427e", "2b282650fd68203c145b59331dc6a026",
+         "77dfcfe53467f4baa47cf7479799286d"),
+    ),
+    "calibrate_pitos": (
+        ["calibrate", "--test", "pitos", "--n", "10", "--reps", "100", "--grid", "0.05,0.5",
+         "--seed", "1", "--out", "{out}", "--cache-dir", "{cache}"],
+        ("d41d8cd98f00b204e9800998ecf8427e", "0adc0c3c5b624b853e48826ef321a6e8",
+         "1b9591c722ff9f631811164b26b08e67"),
+    ),
+    "calibrate_ks_paper_scale": (
+        ["calibrate", "--test", "ks", "--n", "8", "--reps", "50", "--paper-scale",
+         "--null-b", "100", "--grid", "0.5", "--seed", "1", "--out", "{out}",
+         "--cache-dir", "{cache}"],
+        ("d41d8cd98f00b204e9800998ecf8427e", "f47b9a9cc9e309b9ee4616181cf61709",
+         "e96c1b90ec3a2d326253bdb94a4fa033"),
+    ),
+    "study": (
+        ["study", "--scenario", "outliers", "--dists", "3", "--reps", "30", "--n", "15",
+         "--tests", "pitos,ks", "--null-b", "200", "--seed", "5", "--out", "{out}",
+         "--cache-dir", "{cache}"],
+        ("d41d8cd98f00b204e9800998ecf8427e", "c57a979b13cf4175e4f211519209a818",
+         "693f5e507fe5d4ae52f5c37dea247f8b"),
+    ),
+    "test_pitos_detail": (
+        ["test", "--input", "{data}", "--emit-detail", "{out}"],
+        ("bd3a6dc21bff1f8d44f4e9d90e914969", "287166b6b7634e4fecf2bf087130241c", None),
+    ),
+    "test_ks": (
+        ["test", "--input", "{data}", "--method", "ks", "--null-b", "300", "--seed", "4",
+         "--cache-dir", "{cache}"],
+        ("a8228c77c945a5c678436c13cffffcf7", None, None),
+    ),
+    "pairs": (["pairs", "--n", "12"], ("06d0f6b048925ed37c6de14b13d79b81", None, None)),
+    "scenarios": (
+        ["scenarios", "--name", "random-gap", "--count", "3", "--seed", "11"],
+        ("d9e3695b8d3e57d3f9bd5c2a06a900fe", None, None),
+    ),
+    "sample": (
+        ["sample", "--dist", "uniform", "--n", "20", "--seed", "7"],
+        ("5ef424596ac02155fdaab159408d477b", None, None),
+    ),
+}
+
+
+@pytest.mark.parametrize("name", list(FROZEN_CLI))
+def test_frozen_cli_bytes(tmp_path, capsys, name):
+    argv, expected = FROZEN_CLI[name]
+    out = tmp_path / "out.csv"
+    data = tmp_path / "data.txt"
+    data.write_text("".join(f"{(k * 0.6180339887498949) % 1.0!r}\n" for k in range(1, 41)))
+    argv = [a.format(out=out, cache=tmp_path / "cache", data=data) for a in argv]
+    code, stdout, _ = run_cli(argv, capsys)
+    assert code == 0
+
+    def digest(path):
+        return hashlib.md5(path.read_bytes()).hexdigest() if path.exists() else None
+
+    sidecar = Path(str(out) + ".meta.json")
+    got = (hashlib.md5(stdout.encode()).hexdigest(), digest(out), digest(sidecar))
+    assert got == expected
 
 
 class TestRoundTrip:

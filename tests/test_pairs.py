@@ -107,9 +107,17 @@ class TestPairSequence:
         warped = generate_pairs(50, warp=(2.0, 2.0))
         assert not warped.is_default
         assert not np.array_equal(default.i, warped.i)
-        # identity warp gives raw Halton discretization
-        ident = generate_pairs(50, warp=lambda u: u)
-        assert ident.i[0] == math.ceil(50 * 0.5)
+
+    def test_memo_keeps_the_two_latest_sequences(self):
+        info = pairs_mod._generate_pairs_beta.cache_info
+        generate_pairs.cache_clear()
+        first = generate_pairs(100)
+        generate_pairs(30)
+        assert generate_pairs(100) is first  # two alternating sizes both stay
+        generate_pairs(40)
+        generate_pairs(41)
+        assert info().currsize == 2 and info().hits == 1
+        assert generate_pairs(100) is not first
 
     def test_validation(self):
         with pytest.raises(ValueError):
