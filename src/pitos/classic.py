@@ -53,6 +53,9 @@ VERDICT_NULL_B = 100_000  # null draws behind a single verdict's p-value
 # is rebuilt.  Bump it whenever a statistic or the stored layout changes.
 NULL_CACHE_VERSION = 1
 CACHE_ENV_VAR = "PITOS_CACHE_DIR"
+# Row-batched work (a null build, a study's replicates) holds at most this
+# many sample values at once.
+ROW_BLOCK_VALUES = 1 << 21
 
 _SQRT3 = math.sqrt(3.0)
 _SQRT5 = math.sqrt(5.0)
@@ -229,7 +232,7 @@ def build_empirical_null(
         if cached is not None:
             return cached
 
-    chunk = max(1, min(B, (1 << 21) // max(n, 1)))
+    chunk = max(1, ROW_BLOCK_VALUES // max(n, 1))
     stats = np.empty(B)
     for lo in range(0, B, chunk):
         c = min(chunk, B - lo)

@@ -14,6 +14,7 @@ Input files hold one decimal value per line; blank lines and '#' comments
 
 import argparse
 import csv
+import functools
 import io
 import json
 import logging
@@ -132,10 +133,16 @@ def _write_study_table(args, null_b, header, rows, config):
 
 
 def _cmd_test(args):
-    if args.method != "pitos":
-        for flag, value in (("--emit-detail", args.emit_detail), ("--warp", args.warp)):
-            if value is not None:
-                raise CliError(f"{flag} applies only to --method pitos")
+    # flags that only the other kind of test reads are refused, not ignored
+    if args.method == "pitos":
+        scope = "a classical --method"
+        unused = {"--null-b": args.null_b, "--cache-dir": args.cache_dir}
+    else:
+        scope = "--method pitos"
+        unused = {"--emit-detail": args.emit_detail, "--warp": args.warp}
+    for flag, value in unused.items():
+        if value is not None:
+            raise CliError(f"{flag} applies only to {scope}")
     values = read_values(args.input)
     seed = args.seed
     if args.null_cdf is not None:
@@ -169,8 +176,9 @@ def _cmd_test(args):
             "p_star": verdict.p_value,
         }
     else:
+        null_b = VERDICT_NULL_B if args.null_b is None else args.null_b
         verdict = classic_test(
-            args.method, sample, null_b=args.null_b, seed=seed, cache_dir=args.cache_dir
+            args.method, sample, null_b=null_b, seed=seed, cache_dir=args.cache_dir
         )
         payload = {
             "test": verdict.test_name,
@@ -303,6 +311,7 @@ def _cmd_study(args):
 # parser
 
 
+@functools.cache  # built once per process; parsing never changes it
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="pitos",
@@ -346,8 +355,8 @@ def build_parser():
                    help="write per-pair detail CSV (pitos only)")
     p.add_argument("--warp", default=None, type=_warp_shapes, metavar="A,B",
                    help="custom Beta warp shapes for the pair sequence (pitos only)")
-    p.add_argument("--null-b", type=int, default=VERDICT_NULL_B,
-                   help="null replicates behind classical p-values")
+    p.add_argument("--null-b", type=int, default=None,
+                   help=f"null replicates behind classical p-values (default {VERDICT_NULL_B})")
     add_common(p)
     p.set_defaults(handler=_cmd_test)
 

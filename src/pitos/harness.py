@@ -12,15 +12,17 @@ the minutes range; pass paper-scale counts explicitly to reproduce
 full-size experiments.
 """
 
+import json
 import logging
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .classic import CLASSIC_TESTS, batch_statistics, build_empirical_null, empirical_p_value
+from .classic import (CLASSIC_TESTS, ROW_BLOCK_VALUES, batch_statistics, build_empirical_null,
+                      empirical_p_value)
 from .core import pitos_p_value
-from .distributions import DistributionSpec, draw_scenario_distribution, scenario_code, zoo_lookup
+from .distributions import DistributionSpec, ScenarioSampler, scenario_code, zoo_lookup
 from .pairs import generate_pairs, random_pairs
 from .streams import stream
 
@@ -98,6 +100,12 @@ def _pitos_pairs(n, pair_seed):
     return generate_pairs(n) if pair_seed is None else random_pairs(n, pair_seed)
 
 
+def _classic_nulls(tests, n, null_b, seed, cache_dir):
+    """The empirical null of each classical test in the roster at n."""
+    return {t: build_empirical_null(t, n, null_b, seed, cache_dir=cache_dir)
+            for t in tests if t in CLASSIC_TESTS}
+
+
 def _normalize_tests(tests):
     if isinstance(tests, str):
         tests = (tests,)
@@ -108,45 +116,41 @@ def _normalize_tests(tests):
     return tests
 
 
-def _pvalue_matrix(dist, tests, n, replicates, seed, null_b, cache_dir, scen_code,
-                   dist_index, pairs):
-    """p-values with shape (len(tests), replicates); one dataset per replicate."""
-    rows = np.empty((replicates, n))
-    for r in range(replicates):
-        rows[r] = replicate_dataset(seed, scen_code, dist_index, r, dist, n)
-    if np.any(np.isnan(rows)) or rows.min() < 0.0 or rows.max() > 1.0:
-        raise ValueError(f"sampler for {dist.name!r} produced values outside [0, 1]")
+def _pvalue_matrix(dist, tests, n, replicates, seed, scen_code, dist_index, pairs, nulls):
+    """p-values with shape (len(tests), replicates); one dataset per replicate.
 
-    sorted_rows = np.sort(rows, axis=1)
+    `nulls` maps every test but pitos to its empirical null.  Replicates are
+    scored in row blocks of at most ROW_BLOCK_VALUES values; every statistic
+    is computed per row, so the block size never changes a p-value.
+    """
     out = np.empty((len(tests), replicates))
     failures = dict.fromkeys(tests, 0)
-    for t_idx, test in enumerate(tests):
-        if test == "pitos":
-            for r in range(replicates):
-                try:
-                    out[t_idx, r] = pitos_p_value(rows[r], pairs).p_value
-                except (ValueError, FloatingPointError):
-                    failures[test] += 1
-                    out[t_idx, r] = 1.0
-        elif test == "lrt":
-            if dist.log_density is None:
-                raise ValueError(f"lrt oracle needs a log-density; {dist.name!r} has none")
-            null = build_empirical_null(
-                "lrt", n, null_b, seed,
-                alt_log_density=dist.log_density,
-                label=dist.name,
-                cache_dir=cache_dir,
-            )
-            stats = np.asarray(dist.log_density(rows), dtype=float).sum(axis=1)
-            out[t_idx] = empirical_p_value(null, stats)
-        else:
-            null = build_empirical_null(test, n, null_b, seed, cache_dir=cache_dir)
-            stats = batch_statistics(test, rows, sorted_rows)
-            bad = np.isnan(stats)
-            if bad.any():
+    step = max(1, ROW_BLOCK_VALUES // max(n, 1))
+    for lo in range(0, replicates, step):
+        hi = min(lo + step, replicates)
+        rows = np.empty((hi - lo, n))
+        for r in range(lo, hi):
+            rows[r - lo] = replicate_dataset(seed, scen_code, dist_index, r, dist, n)
+        if np.any(np.isnan(rows)) or rows.min() < 0.0 or rows.max() > 1.0:
+            raise ValueError(f"sampler for {dist.name!r} produced values outside [0, 1]")
+        sorted_rows = np.sort(rows, axis=1)
+        for t_idx, test in enumerate(tests):
+            if test == "pitos":
+                for r in range(lo, hi):
+                    try:
+                        out[t_idx, r] = pitos_p_value(rows[r - lo], pairs).p_value
+                    except (ValueError, FloatingPointError):
+                        failures[test] += 1
+                        out[t_idx, r] = 1.0
+                continue
+            if test == "lrt":
+                stats = np.asarray(dist.log_density(rows), dtype=float).sum(axis=1)
+            else:
+                stats = batch_statistics(test, rows, sorted_rows)
+                bad = np.isnan(stats)
                 failures[test] += int(bad.sum())
                 stats = np.where(bad, -np.inf, stats)
-            out[t_idx] = empirical_p_value(null, stats)
+            out[t_idx, lo:hi] = empirical_p_value(nulls[test], stats)
 
     for test, count in failures.items():
         if count:
@@ -161,6 +165,53 @@ def _pvalue_matrix(dist, tests, n, replicates, seed, null_b, cache_dir, scen_cod
     return out
 
 
+def _power_reports(jobs, tests, alpha, replicates, seed, null_b, cache_dir, pair_seed, threads=1):
+    """One PowerReport per job (dist, n, scen_code, dist_index), in job order.
+
+    Each distinct n's pair sequence and classical nulls are resolved once,
+    before any job runs; only the lrt oracle's null, which depends on the
+    distribution, is built inside a job.
+    """
+    if not (0.0 < alpha < 1.0):
+        raise ValueError("alpha must lie strictly inside (0, 1)")
+    if replicates < 1:
+        raise ValueError("replicates must be >= 1")
+    tests = _normalize_tests(tests)
+    resolved = {
+        n: (_pitos_pairs(n, pair_seed) if "pitos" in tests else None,
+            _classic_nulls(tests, n, null_b, seed, cache_dir))
+        for n in dict.fromkeys(job[1] for job in jobs)
+    }
+
+    def run(job):
+        dist, n, scen_code, dist_index = job
+        pairs, nulls = resolved[n]
+        if "lrt" in tests:
+            if dist.log_density is None:
+                raise ValueError(f"lrt oracle needs a log-density; {dist.name!r} has none")
+            # keyed by the full-precision parameters: names keep 6 significant digits
+            label = json.dumps([dist.name, dist.parameters], sort_keys=True, default=repr)
+            nulls = dict(nulls, lrt=build_empirical_null(
+                "lrt", n, null_b, seed, alt_log_density=dist.log_density, label=label,
+                cache_dir=cache_dir,
+            ))
+        pvals = _pvalue_matrix(
+            dist, tests, n, replicates, seed, scen_code, dist_index, pairs, nulls
+        )
+        rates = {t: float(np.mean(pvals[k] <= alpha)) for k, t in enumerate(tests)}
+        return PowerReport(
+            distribution={"name": dist.name, **dist.parameters},
+            n=n,
+            alpha=float(alpha),
+            rejection_rate=rates,
+            replicates=int(replicates),
+            mc_std_err={t: float(np.sqrt(r * (1.0 - r) / replicates)) for t, r in rates.items()},
+            seed=int(seed),
+        )
+
+    return _run_jobs(run, jobs, threads)
+
+
 def estimate_power(
     dist,
     tests,
@@ -171,10 +222,7 @@ def estimate_power(
     *,
     null_b=STUDY_NULL_B,
     cache_dir=None,
-    scen_code=0,
-    dist_index=0,
     pair_seed=None,
-    pairs=None,
 ):
     """Rejection rate of p <= alpha for each test on data from `dist`.
 
@@ -183,33 +231,10 @@ def estimate_power(
 
     `pair_seed` switches the order-statistic test onto the experimental
     random-uniform pair source (seeded); leave None for the default
-    low-discrepancy sequence.  `pairs`, a sequence for n that the caller
-    already built, is used instead of building one from `pair_seed`;
-    power_curve and scenario_study build theirs once before any job runs.
+    low-discrepancy sequence.
     """
-    if not (0.0 < alpha < 1.0):
-        raise ValueError("alpha must lie strictly inside (0, 1)")
-    if replicates < 1:
-        raise ValueError("replicates must be >= 1")
-    dist = _resolve_dist(dist)
-    tests = _normalize_tests(tests)
-    if pairs is None and "pitos" in tests:
-        pairs = _pitos_pairs(n, pair_seed)
-    elif pairs is not None and pairs.n != n:
-        raise ValueError(f"pair sequence built for n={pairs.n}, not n={n}")
-    pvals = _pvalue_matrix(
-        dist, tests, n, replicates, seed, null_b, cache_dir, scen_code, dist_index, pairs
-    )
-    rates = {t: float(np.mean(pvals[k] <= alpha)) for k, t in enumerate(tests)}
-    return PowerReport(
-        distribution={"name": dist.name, **dist.parameters},
-        n=int(n),
-        alpha=float(alpha),
-        rejection_rate=rates,
-        replicates=int(replicates),
-        mc_std_err={t: float(np.sqrt(r * (1.0 - r) / replicates)) for t, r in rates.items()},
-        seed=int(seed),
-    )
+    job = (_resolve_dist(dist), int(n), 0, 0)
+    return _power_reports([job], tests, alpha, replicates, seed, null_b, cache_dir, pair_seed)[0]
 
 
 def power_curve(
@@ -227,18 +252,8 @@ def power_curve(
 ):
     """estimate_power at each n in the grid; grid point g uses dist_index g."""
     dist = _resolve_dist(dist)
-    tests = _normalize_tests(tests)
-    # one sequence per distinct n, built before any job runs
-    pairs = {int(n): _pitos_pairs(int(n), pair_seed) for n in n_grid} if "pitos" in tests else {}
-    jobs = [
-        dict(
-            dist=dist, tests=tests, n=int(n), alpha=alpha, replicates=replicates,
-            seed=seed, null_b=null_b, cache_dir=cache_dir, scen_code=0, dist_index=g,
-            pairs=pairs.get(int(n)),
-        )
-        for g, n in enumerate(n_grid)
-    ]
-    return _run_jobs(lambda kw: estimate_power(**kw), jobs, threads)
+    jobs = [(dist, int(n), 0, g) for g, n in enumerate(n_grid)]
+    return _power_reports(jobs, tests, alpha, replicates, seed, null_b, cache_dir, pair_seed, threads)
 
 
 def scenario_study(
@@ -261,30 +276,13 @@ def scenario_study(
         raise ValueError("counts must be >= 1")
     tests = _normalize_tests(tests)
     code = scenario_code(scenario)
-    dists = [
-        draw_scenario_distribution(scenario, stream(seed, code, d, 0))
-        for d in range(num_distributions)
-    ]
+    dists = ScenarioSampler(scenario, seed).draw_many(num_distributions)
+    reports = _power_reports(
+        [(dist, int(n), code, d) for d, dist in enumerate(dists)],
+        tests, alpha, replicates_per_distribution, seed, null_b, cache_dir, pair_seed, threads,
+    )
 
-    pairs = _pitos_pairs(n, pair_seed) if "pitos" in tests else None
-
-    def job(d):
-        return estimate_power(
-            dists[d], tests, n, alpha, replicates_per_distribution, seed,
-            null_b=null_b, cache_dir=cache_dir, scen_code=code, dist_index=d,
-            pairs=pairs,
-        )
-
-    # warm the shared null caches sequentially before any parallel section
-    for test in tests:
-        if test in CLASSIC_TESTS:
-            build_empirical_null(test, n, null_b, seed, cache_dir=cache_dir)
-
-    reports = _run_jobs(job, list(range(num_distributions)), threads)
-
-    power = np.array(
-        [[rep.rejection_rate[t] for t in tests] for rep in reports]
-    )  # (dists, tests)
+    power = np.array([[rep.rejection_rate[t] for t in tests] for rep in reports])  # (dists, tests)
     rank_freq = np.zeros((len(tests), len(tests)))
     for row in power:
         rank_freq += _fractional_ranks(row)
@@ -378,7 +376,8 @@ def null_pvalue_cdf(
             "p_star": _ecdf_at(p_star, grid),
         }
     else:
-        p = _pvalue_matrix(uniform, tests, n, replicates, seed, null_b, cache_dir, 0, 0, None)[0]
+        nulls = _classic_nulls(tests, n, null_b, seed, cache_dir)
+        p = _pvalue_matrix(uniform, tests, n, replicates, seed, 0, 0, None, nulls)[0]
         series = {"p": _ecdf_at(p, grid)}
 
     return NullPvalueCdf(

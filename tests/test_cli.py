@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from pitos.cli import main, read_values
+from pitos.cli import build_parser, main, read_values
 
 REPO_SRC = str(Path(__file__).resolve().parents[1] / "src")
 
@@ -122,6 +122,24 @@ class TestTestSubcommand:
         assert code == 2 and out == ""
         assert err.startswith("error:") and err.count("\n") == 1 and flag in err
         assert sorted(p.name for p in tmp_path.iterdir()) == ["data.txt"]
+
+    @pytest.mark.parametrize("flag, value", [("--null-b", "5"), ("--cache-dir", "cache")])
+    def test_pitos_rejects_classical_flags(self, tmp_path, capsys, monkeypatch, flag, value):
+        monkeypatch.chdir(tmp_path)
+        Path("data.txt").write_text("0.2\n0.7\n0.4\n")
+        code, out, err = run_cli(["test", "--input", "data.txt", flag, value], capsys)
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and err.count("\n") == 1 and flag in err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["data.txt"]
+
+    def test_parser_survives_a_usage_error(self, tmp_path, capsys):
+        path = tmp_path / "data.txt"
+        path.write_text("0.2\n0.7\n0.4\n")
+        code, before, _ = run_cli(["test", "--input", str(path)], capsys)
+        assert code == 0
+        assert run_cli(["test", "--input", str(path), "--warp=1"], capsys)[0] == 2
+        assert run_cli(["test", "--input", str(path)], capsys) == (0, before, "")
+        assert build_parser() is build_parser()  # built once per process
 
     @pytest.mark.parametrize("value", ["1", "1,2,3", "0,1", "-1,2", "inf,1", "nan,1", "a,b"])
     def test_warp_takes_two_positive_finite_shapes(self, tmp_path, capsys, value):
@@ -288,8 +306,9 @@ class TestTabularSubcommands:
 
 
 # md5 of stdout, the --out CSV (or --emit-detail CSV) and the sidecar,
-# frozen from the implementation that declared each study's flags and wrote
-# each sidecar separately; {out}, {cache} and {data} are filled per run.
+# each frozen from the implementation before the code it covers was reworked
+# (power_lrt_threads: before studies resolved their nulls once per n);
+# {out}, {cache} and {data} are filled per run.
 FROZEN_CLI = {
     "power": (
         ["power", "--dist", "uniform", "--tests", "pitos,ks", "--n", "10,20", "--reps", "50",
@@ -303,6 +322,13 @@ FROZEN_CLI = {
          "--cache-dir", "{cache}"],
         ("d41d8cd98f00b204e9800998ecf8427e", "2b282650fd68203c145b59331dc6a026",
          "77dfcfe53467f4baa47cf7479799286d"),
+    ),
+    "power_lrt_threads": (
+        ["power", "--dist", "gap(0.5,0.05)", "--tests", "pitos,ks,lrt", "--n", "12,20",
+         "--reps", "40", "--null-b", "200", "--seed", "2", "--threads", "2", "--out", "{out}",
+         "--cache-dir", "{cache}"],
+        ("d41d8cd98f00b204e9800998ecf8427e", "d49f2c3c4ddcd8654e04cf229bd6e774",
+         "efb9c4591dbe73169f76cfcc4706babc"),
     ),
     "calibrate_pitos": (
         ["calibrate", "--test", "pitos", "--n", "10", "--reps", "100", "--grid", "0.05,0.5",

@@ -7,7 +7,9 @@ import math
 import numpy as np
 import pytest
 
+from pitos import classic, harness
 from pitos.harness import (
+    ALL_TESTS,
     NullPvalueCdf,
     estimate_power,
     null_pvalue_cdf,
@@ -80,6 +82,63 @@ class TestEstimatePower:
         assert 0.0 <= alt.rejection_rate["pitos"] <= 0.15  # still near level
 
 
+    def test_lrt_null_is_keyed_by_full_precision_parameters(self, cache_dir, tmp_path):
+        # both names print as beta(0.6,0.6); each alternative needs its own null
+        kw = dict(n=50, replicates=200, seed=1, null_b=500, cache_dir=cache_dir)
+        estimate_power("beta(0.6,0.6)", "lrt", **kw)
+        first = set(cache_dir.iterdir())
+        estimate_power("beta(0.6000001,0.6)", "lrt", **kw)
+        added = set(cache_dir.iterdir()) - first
+        assert len(first) == 1 and len(added) == 1
+        fresh = classic.build_empirical_null(
+            "lrt", 50, 500, 1, alt_log_density=zoo_lookup("beta(0.6000001,0.6)").log_density,
+            cache_dir=tmp_path / "fresh",
+        )
+        with np.load(added.pop()) as payload:
+            np.testing.assert_array_equal(payload["statistics"], fresh.statistics)
+
+
+class TestRowBlocks:
+    """Replicates are scored in blocks of ROW_BLOCK_VALUES values; patching
+    the block down to 3 rows must not move a single p-value bit."""
+
+    @staticmethod
+    def _run(monkeypatch, cache_dir):
+        matrices = []
+        score = harness._pvalue_matrix
+
+        def record(*args):
+            matrices.append(score(*args))
+            return matrices[-1]
+
+        with monkeypatch.context() as patch:
+            patch.setattr(harness, "_pvalue_matrix", record)
+            kw = dict(null_b=200, cache_dir=cache_dir)
+            report = estimate_power("beta(0.6,0.6)", ALL_TESTS, 9, replicates=20, seed=8, **kw)
+            cdf = null_pvalue_cdf("ks", 9, 20, 8, np.linspace(0.0, 1.0, 101), **kw)
+        return report, cdf.series["p"], matrices
+
+    def test_block_size_is_bitwise_neutral(self, monkeypatch, tmp_path):
+        whole = self._run(monkeypatch, tmp_path / "whole")
+        monkeypatch.setattr(harness, "ROW_BLOCK_VALUES", 3 * 9)
+        monkeypatch.setattr(classic, "ROW_BLOCK_VALUES", 3 * 9)
+        blocked = self._run(monkeypatch, tmp_path / "blocked")
+        assert blocked[0] == whole[0]
+        assert blocked[1].tobytes() == whole[1].tobytes()
+        assert [m.tobytes() for m in blocked[2]] == [m.tobytes() for m in whole[2]]
+
+    def test_failures_add_up_across_blocks(self, monkeypatch, cache_dir):
+        def first_row_fails(test, rows, sorted_rows):
+            stats = classic.batch_statistics(test, rows, sorted_rows)
+            stats[0] = np.nan
+            return stats
+
+        monkeypatch.setattr(harness, "ROW_BLOCK_VALUES", 3 * 10)
+        monkeypatch.setattr(harness, "batch_statistics", first_row_fails)
+        with pytest.raises(RuntimeError, match="ks: 4/12 replicates failed"):
+            estimate_power("uniform", "ks", 10, replicates=12, null_b=50, cache_dir=cache_dir)
+
+
 class TestCommonRandomNumbers:
     def test_same_dataset_for_every_test(self):
         # the replicate dataset is a pure function of (seed, path, dist, n):
@@ -135,6 +194,21 @@ class TestScenarioStudy:
         b = scenario_study("outliers", **kw, threads=3)
         np.testing.assert_array_equal(a.rank_freq, b.rank_freq)
         assert a.avg_power == b.avg_power
+
+    def test_each_classical_null_resolved_once(self, cache_dir, monkeypatch):
+        calls = []
+        build = harness.build_empirical_null
+
+        def counted(*args, **kwargs):
+            calls.append(args[0])
+            return build(*args, **kwargs)
+
+        monkeypatch.setattr(harness, "build_empirical_null", counted)
+        scenario_study(
+            "random-gap", num_distributions=4, replicates_per_distribution=10, n=12,
+            seed=3, null_b=100, cache_dir=cache_dir, threads=2,
+        )
+        assert sorted(calls) == sorted(classic.CLASSIC_TESTS)
 
     def test_tied_powers_share_ranks_fractionally(self, cache_dir):
         # a two-way exact tie puts 0.5 in each of the two spanned positions
