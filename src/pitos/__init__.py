@@ -19,8 +19,6 @@ from .distributions import (
     DistributionSpec,
     ScenarioSampler,
     draw_scenario_distribution,
-    normal_cdf,
-    normal_quantile,
     zoo_lookup,
 )
 from .harness import (
@@ -64,8 +62,6 @@ __all__ = [
     "log_beta",
     "lrt_statistic",
     "nb_statistic",
-    "normal_cdf",
-    "normal_quantile",
     "null_pvalue_cdf",
     "pitos_p_value",
     "power_curve",

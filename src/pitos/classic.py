@@ -28,6 +28,7 @@ from pathlib import Path
 import numpy as np
 
 from .core import OrderedSample, TestVerdict
+from .pairs import _sample_size
 from .streams import stream
 
 __all__ = [
@@ -213,13 +214,15 @@ def build_empirical_null(
     stream derived from (seed, r), so the result is identical no matter how
     replicates are scheduled.  Results are cached on disk keyed by
     (test, n, B, seed) plus, for the LRT, a caller-supplied label
-    fingerprinting the alternative density.
+    fingerprinting the alternative density (required: without it every
+    density would share one file).
     """
+    n = _sample_size(n)
     if B < 1:
         raise ValueError("B must be >= 1")
     if test == "lrt":
-        if alt_log_density is None:
-            raise ValueError("lrt null requires alt_log_density")
+        if alt_log_density is None or label is None:
+            raise ValueError("lrt null requires alt_log_density and a label fingerprinting it")
     elif test not in _BATCH:
         raise ValueError(f"unknown test identifier {test!r}")
     elif alt_log_density is not None:
@@ -232,7 +235,7 @@ def build_empirical_null(
         if cached is not None:
             return cached
 
-    chunk = max(1, ROW_BLOCK_VALUES // max(n, 1))
+    chunk = max(1, ROW_BLOCK_VALUES // n)
     stats = np.empty(B)
     for lo in range(0, B, chunk):
         c = min(chunk, B - lo)

@@ -159,15 +159,14 @@ def _cmd_test(args):
             pairs = generate_pairs(sample.n)
         verdict = pitos_p_value(sample, pairs, detail=args.emit_detail is not None)
         if args.emit_detail is not None:
+            # numbers only, so no field needs csv quoting; writelines formats
+            # row by row instead of first collecting every row in a list
             det = verdict.detail
-            rows = zip(
-                range(1, verdict.m + 1),
-                det.i.tolist(),
-                det.j.tolist(),
-                (repr(v) for v in det.u.tolist()),
-                (repr(v) for v in det.p.tolist()),
-            )
-            _write_text(args.emit_detail, _csv_text(["k", "i", "j", "u", "p"], rows))
+            buf = io.StringIO()
+            buf.write("k,i,j,u,p\n")
+            buf.writelines(map("{},{},{},{!r},{!r}\n".format, range(1, verdict.m + 1),
+                               det.i.tolist(), det.j.tolist(), det.u.tolist(), det.p.tolist()))
+            _write_text(args.emit_detail, buf.getvalue())
         payload = {
             "test": "PITOS",
             "n": verdict.n,

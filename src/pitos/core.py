@@ -25,6 +25,7 @@ __all__ = [
     "PairDetail",
     "TestVerdict",
     "conditional_os_cdf",
+    "corrected_p_value",
     "pitos_p_value",
 ]
 
@@ -183,6 +184,13 @@ def _combination_terms(u_block, out):
     return out
 
 
+def corrected_p_value(p):
+    """The corrected p-value min(1, 1.15 p) of an uncorrected Cauchy
+    combination; `p` may be a scalar or an array."""
+    p_star = np.minimum(1.0, CORRECTION * np.asarray(p, dtype=float))
+    return float(p_star) if p_star.ndim == 0 else p_star
+
+
 def pitos_p_value(sample, pairs=None, *, detail=False):
     """Run the test on a sample against the Uniform(0,1) null.
 
@@ -201,7 +209,7 @@ def pitos_p_value(sample, pairs=None, *, detail=False):
     TestVerdict
         statistic is the mean of the per-pair Cauchy quantiles, p_uncorrected
         the Cauchy combination 1 - F_Cauchy(statistic), and p_value the
-        corrected min(1, 1.15 * p_uncorrected).
+        corrected min(1, 1.15 * p_uncorrected) from corrected_p_value.
 
     Notes
     -----
@@ -265,7 +273,6 @@ def pitos_p_value(sample, pairs=None, *, detail=False):
 
     # upper Cauchy tail, written to avoid the cancellation in 1 - (1/2 + atan/pi)
     p = 0.5 - math.atan(statistic) / math.pi
-    p_star = min(1.0, CORRECTION * p)
 
     pair_detail = None
     if detail:
@@ -274,7 +281,7 @@ def pitos_p_value(sample, pairs=None, *, detail=False):
     return TestVerdict(
         test_name="PITOS",
         statistic=statistic,
-        p_value=p_star,
+        p_value=corrected_p_value(p),
         n=n,
         m=m,
         p_uncorrected=p,

@@ -49,28 +49,11 @@ __all__ = [
     "make_bump",
     "make_gap",
     "make_outliers",
-    "normal_cdf",
-    "normal_quantile",
     "scenario_code",
     "zoo_lookup",
 ]
 
 REJECTION_CAP = 10**6
-
-
-def normal_cdf(z):
-    """Standard normal CDF, accurate to better than 1e-12."""
-    out = _sp.ndtr(np.asarray(z, dtype=float))
-    return float(out) if out.ndim == 0 else out
-
-
-def normal_quantile(q):
-    """Standard normal quantile; exact inverse of normal_cdf on (0, 1)."""
-    q = np.asarray(q, dtype=float)
-    if np.any(q <= 0.0) or np.any(q >= 1.0):
-        raise ValueError("normal_quantile requires q strictly inside (0, 1)")
-    out = _sp.ndtri(q)
-    return float(out) if out.ndim == 0 else out
 
 
 @dataclass(frozen=True)

@@ -21,7 +21,7 @@ import numpy as np
 
 from .classic import (CLASSIC_TESTS, ROW_BLOCK_VALUES, batch_statistics, build_empirical_null,
                       empirical_p_value)
-from .core import pitos_p_value
+from .core import corrected_p_value, pitos_p_value
 from .distributions import DistributionSpec, ScenarioSampler, scenario_code, zoo_lookup
 from .pairs import generate_pairs, random_pairs
 from .streams import stream
@@ -119,10 +119,14 @@ def _normalize_tests(tests):
 def _pvalue_matrix(dist, tests, n, replicates, seed, scen_code, dist_index, pairs, nulls):
     """p-values with shape (len(tests), replicates); one dataset per replicate.
 
-    `nulls` maps every test but pitos to its empirical null.  Replicates are
-    scored in row blocks of at most ROW_BLOCK_VALUES values; every statistic
-    is computed per row, so the block size never changes a p-value.
+    The pitos row holds the uncorrected combination p; pass it through
+    corrected_p_value before comparing it with a level.  `nulls` maps every
+    test but pitos to its empirical null.  Replicates are scored in row
+    blocks of at most ROW_BLOCK_VALUES values; every statistic is computed
+    per row, so the block size never changes a p-value.
     """
+    if replicates < 1:
+        raise ValueError("replicates must be >= 1")
     out = np.empty((len(tests), replicates))
     failures = dict.fromkeys(tests, 0)
     step = max(1, ROW_BLOCK_VALUES // max(n, 1))
@@ -138,7 +142,7 @@ def _pvalue_matrix(dist, tests, n, replicates, seed, scen_code, dist_index, pair
             if test == "pitos":
                 for r in range(lo, hi):
                     try:
-                        out[t_idx, r] = pitos_p_value(rows[r - lo], pairs).p_value
+                        out[t_idx, r] = pitos_p_value(rows[r - lo], pairs).p_uncorrected
                     except (ValueError, FloatingPointError):
                         failures[test] += 1
                         out[t_idx, r] = 1.0
@@ -174,8 +178,6 @@ def _power_reports(jobs, tests, alpha, replicates, seed, null_b, cache_dir, pair
     """
     if not (0.0 < alpha < 1.0):
         raise ValueError("alpha must lie strictly inside (0, 1)")
-    if replicates < 1:
-        raise ValueError("replicates must be >= 1")
     tests = _normalize_tests(tests)
     resolved = {
         n: (_pitos_pairs(n, pair_seed) if "pitos" in tests else None,
@@ -198,6 +200,9 @@ def _power_reports(jobs, tests, alpha, replicates, seed, null_b, cache_dir, pair
         pvals = _pvalue_matrix(
             dist, tests, n, replicates, seed, scen_code, dist_index, pairs, nulls
         )
+        if "pitos" in tests:
+            k = tests.index("pitos")
+            pvals[k] = corrected_p_value(pvals[k])
         rates = {t: float(np.mean(pvals[k] <= alpha)) for k, t in enumerate(tests)}
         return PowerReport(
             distribution={"name": dist.name, **dist.parameters},
@@ -367,19 +372,10 @@ def null_pvalue_cdf(
     if len(tests) != 1 or tests[0] == "lrt":
         raise ValueError("null_pvalue_cdf takes a single test, not the lrt oracle")
     test = tests[0]
-    uniform = zoo_lookup("uniform")
-
+    p = _null_pvalues(test, n, replicates, seed, null_b, cache_dir, pair_seed)
+    series = {"p": _ecdf_at(p, grid)}
     if test == "pitos":
-        p_plain, p_star = null_pitos_pvalues(n, replicates, seed, pair_seed=pair_seed)
-        series = {
-            "p": _ecdf_at(p_plain, grid),
-            "p_star": _ecdf_at(p_star, grid),
-        }
-    else:
-        nulls = _classic_nulls(tests, n, null_b, seed, cache_dir)
-        p = _pvalue_matrix(uniform, tests, n, replicates, seed, 0, 0, None, nulls)[0]
-        series = {"p": _ecdf_at(p, grid)}
-
+        series["p_star"] = _ecdf_at(corrected_p_value(p), grid)
     return NullPvalueCdf(
         test=test, n=int(n), replicates=int(replicates), seed=int(seed),
         grid=grid, series=series,
@@ -389,16 +385,16 @@ def null_pvalue_cdf(
 def null_pitos_pvalues(n, replicates, seed, *, pair_seed=None):
     """(uncorrected, corrected) p-value arrays over null replicates, using
     the same dataset streams as every other harness operation."""
+    p = _null_pvalues("pitos", n, replicates, seed, None, None, pair_seed)
+    return p, corrected_p_value(p)
+
+
+def _null_pvalues(test, n, replicates, seed, null_b, cache_dir, pair_seed):
+    """One test's p-values (uncorrected for pitos) on Uniform(0,1) replicates."""
+    pairs = _pitos_pairs(n, pair_seed) if test == "pitos" else None
+    nulls = _classic_nulls((test,), n, null_b, seed, cache_dir)
     uniform = zoo_lookup("uniform")
-    pairs = _pitos_pairs(n, pair_seed)
-    p_plain = np.empty(replicates)
-    p_star = np.empty(replicates)
-    for r in range(replicates):
-        data = replicate_dataset(seed, 0, 0, r, uniform, n)
-        verdict = pitos_p_value(data, pairs)
-        p_plain[r] = verdict.p_uncorrected
-        p_star[r] = verdict.p_value
-    return p_plain, p_star
+    return _pvalue_matrix(uniform, (test,), n, replicates, seed, 0, 0, pairs, nulls)[0]
 
 
 def _ecdf_at(values, grid):

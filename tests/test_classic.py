@@ -188,6 +188,14 @@ class TestEmpiricalNull:
                                  label="rising", cache_dir=cache_dir)
         assert not np.array_equal(a.statistics, b.statistics)
 
+    def test_lrt_null_needs_a_label(self, cache_dir):
+        # without one, every density would share the (test, n, B, seed) file
+        flat = lambda x: np.zeros_like(np.asarray(x, dtype=float))
+        with pytest.raises(ValueError, match="label"):
+            build_empirical_null("lrt", 10, B=50, seed=0, alt_log_density=flat,
+                                 cache_dir=cache_dir)
+        assert not cache_dir.exists()
+
     def test_unknown_test_rejected(self, cache_dir):
         with pytest.raises(ValueError):
             build_empirical_null("watson", 10, B=10, seed=0, cache_dir=cache_dir)

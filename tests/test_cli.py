@@ -288,6 +288,32 @@ class TestTabularSubcommands:
         lines = proc.stderr.splitlines()
         assert len(lines) == 1 and "1.15 correction" in lines[0]
 
+    @pytest.mark.parametrize("reps", ["0", "-3"])
+    def test_calibrate_rejects_replicate_counts_below_one(self, tmp_path, capsys, reps):
+        out_csv = tmp_path / "cal.csv"
+        code, out, err = run_cli(
+            ["calibrate", "--test", "pitos", "--n", "10", "--reps", reps, "--grid", "0.05",
+             "--out", str(out_csv)],
+            capsys,
+        )
+        assert code == 2 and out == ""
+        assert err == "error: replicates must be >= 1\n"
+        assert not out_csv.exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["power", "--dist", "uniform", "--tests", "ks", "--n", "0", "--reps", "10"],
+        ["calibrate", "--test", "ks", "--n", "0", "--reps", "10"],
+    ])
+    def test_classical_roster_rejects_sample_size_zero(self, tmp_path, capsys, argv):
+        code, out, err = run_cli(
+            argv + ["--null-b", "50", "--cache-dir", str(tmp_path / "cache"),
+                    "--out", str(tmp_path / "out.csv")],
+            capsys,
+        )
+        assert code == 2 and out == ""
+        assert err == "error: sample size must be a positive integer, got 0\n"
+        assert not any(tmp_path.iterdir())  # no CSV, no cache directory
+
     @pytest.mark.parametrize("argv", [
         ["sample", "--dist", "uniform", "--n", "5"],
         ["scenarios", "--name", "outliers", "--count", "2"],

@@ -7,15 +7,13 @@ import warnings
 
 import numpy as np
 import pytest
-from scipy import integrate
+from scipy import integrate, special
 
 from pitos.distributions import (
     SCENARIOS,
     ScenarioSampler,
     draw_scenario_distribution,
     make_outliers,
-    normal_cdf,
-    normal_quantile,
     scenario_code,
     zoo_lookup,
 )
@@ -39,13 +37,14 @@ def _integrates_to_one(spec):
         if spec.name == "phi-laplace":
             # the density is unbounded at both endpoints (it overflows float64
             # below x ~ 1e-300), so integrate under the substitution
-            # x = normal_cdf(z): integrand f(normal_cdf(z)) * phi(z) on a
-            # z range whose excluded tails carry < 1e-8 mass
+            # x = ndtr(z), the standard normal CDF: integrand
+            # f(ndtr(z)) * phi(z) on a z range whose excluded tails carry
+            # < 1e-8 mass
             def g(z):
-                x = normal_cdf(z)
+                x = special.ndtr(z)
                 return math.exp(spec.log_density(x) - 0.5 * z * z) / math.sqrt(2.0 * math.pi)
 
-            # x = normal_cdf(z) rounds to exactly 1.0 beyond z ~ 9, so cover
+            # x = ndtr(z) rounds to exactly 1.0 beyond z ~ 9, so cover
             # the upper half through the density's symmetry about one half
             return 2.0 * integrate.quad(g, -25.0, 0.0, limit=400)[0]
         # split at density discontinuities and at 0.5 so endpoint
@@ -123,26 +122,6 @@ class TestZoo:
         for bad in ("triangle", "beta(1.0)", "beta(a,b)", "bump(0.5,0.001)", ""):
             with pytest.raises(ValueError):
                 zoo_lookup(bad)
-
-
-class TestNormalHelpers:
-    def test_quantile_inverts_cdf(self):
-        q = np.linspace(1e-6, 1 - 1e-6, 101)
-        np.testing.assert_allclose(normal_cdf(normal_quantile(q)), q, atol=1e-12)
-
-    def test_cdf_against_quadrature(self):
-        for z in (-3.0, -1.0, 0.0, 0.5, 2.5):
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore")
-                oracle, _ = integrate.quad(
-                    lambda t: math.exp(-t * t / 2.0) / math.sqrt(2.0 * math.pi),
-                    -12.0, z, limit=300, epsabs=1e-14,
-                )
-            assert normal_cdf(z) == pytest.approx(oracle, abs=1e-12)
-
-    def test_quantile_domain(self):
-        with pytest.raises(ValueError):
-            normal_quantile(0.0)
 
 
 class TestGammaParameterization:

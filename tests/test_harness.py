@@ -2,6 +2,7 @@
 edge case, determinism across runs and thread counts, common random numbers,
 and rank bookkeeping."""
 
+import hashlib
 import math
 
 import numpy as np
@@ -12,6 +13,7 @@ from pitos.harness import (
     ALL_TESTS,
     NullPvalueCdf,
     estimate_power,
+    null_pitos_pvalues,
     null_pvalue_cdf,
     power_curve,
     replicate_dataset,
@@ -92,7 +94,7 @@ class TestEstimatePower:
         assert len(first) == 1 and len(added) == 1
         fresh = classic.build_empirical_null(
             "lrt", 50, 500, 1, alt_log_density=zoo_lookup("beta(0.6000001,0.6)").log_density,
-            cache_dir=tmp_path / "fresh",
+            label="fresh", cache_dir=tmp_path / "fresh",
         )
         with np.load(added.pop()) as payload:
             np.testing.assert_array_equal(payload["statistics"], fresh.statistics)
@@ -246,3 +248,36 @@ class TestNullPvalueCdf:
             null_pvalue_cdf("lrt", n=10, replicates=10, seed=0, grid=[0.5])
         with pytest.raises(ValueError):
             null_pvalue_cdf("pitos", n=10, replicates=10, seed=0, grid=[1.5])
+
+
+def _md5(values):
+    return hashlib.md5(np.ascontiguousarray(values).tobytes()).hexdigest()
+
+
+class TestFrozenCalibration:
+    """md5s of calibration outputs, frozen from the implementation in which
+    calibration scored its pitos replicates in a loop of its own."""
+
+    @pytest.mark.parametrize("args, pair_seed, expected", [
+        ((1, 200, 3), None,
+         ("eca4a54cda73d9fa7176f00e0b115383", "c4c8318358795a6c57630d81494aeb2f")),
+        ((12, 400, 4), None,
+         ("9c6d938fa3b609805d656868a9b78f1a", "901b8fd41fef567a906e367a195598c5")),
+        ((30, 300, 5), None,
+         ("ed791f9bf4367be3749f4cb8f09b8fd4", "25fb16dac24171341d4b930037509a45")),
+        ((25, 200, 6), 7,
+         ("c6e58f0bcb253df29209889190087b0a", "82e42c68e3abda8d1566c3744c87f840")),
+    ])
+    def test_null_pitos_pvalues(self, args, pair_seed, expected):
+        p, p_star = null_pitos_pvalues(*args, pair_seed=pair_seed)
+        assert (_md5(p), _md5(p_star)) == expected
+
+    @pytest.mark.parametrize("test, expected", [
+        ("pitos", {"p": "cbad9d5594c75b9c2d9dc8f877f4d493",
+                   "p_star": "f4f6df05699631e2ed9ec077f155bd15"}),
+        ("ks", {"p": "465a3be880dead24c5589da198227ae8"}),
+    ])
+    def test_null_pvalue_cdf(self, cache_dir, test, expected):
+        out = null_pvalue_cdf(test, 15, 300, 2, np.linspace(0.0, 1.0, 201),
+                              null_b=500, cache_dir=cache_dir)
+        assert {k: _md5(v) for k, v in out.series.items()} == expected
