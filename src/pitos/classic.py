@@ -126,14 +126,18 @@ def lrt_statistic(sample, alt_log_density):
     -inf statistic.
     """
     sample = _as_sample(sample)
-    vals = np.asarray(alt_log_density(sample.values), dtype=float)
-    if np.any(np.isnan(vals)):
+    stat = float(batch_statistics("lrt", sample.values[None], log_density=alt_log_density)[0])
+    if math.isnan(stat):
         raise ValueError("alternative log-density produced NaN")
-    return float(vals.sum())
+    return stat
 
 
 def _as_sample(sample):
     return sample if isinstance(sample, OrderedSample) else OrderedSample(sample)
+
+
+def _lrt_batch(rows, log_density):
+    return np.asarray(log_density(rows), dtype=float).sum(axis=1)
 
 
 # test -> (row-batched kernel, whether the kernel takes sorted rows)
@@ -142,19 +146,30 @@ _BATCH = {
     "nb": (_nb_batch, False),
     "ks": (_ks_batch, True),
     "cvm": (_cvm_batch, True),
+    "lrt": (_lrt_batch, False),
 }
 
 
-def batch_statistics(test, rows, sorted_rows=None):
-    """Statistics for a (replicates, n) matrix of samples; rows are raw data."""
+def batch_statistics(test, rows, sorted_rows=None, log_density=None):
+    """Statistics for a (replicates, n) matrix of samples; rows are raw data.
+    `log_density` is the lrt alternative's log f1; other tests ignore it."""
     if test not in _BATCH:
         raise ValueError(f"unknown test identifier {test!r}")
     kernel, needs_sort = _BATCH[test]
-    if not needs_sort:
-        return kernel(rows)
-    if sorted_rows is None:
-        sorted_rows = np.sort(rows, axis=1)
-    return kernel(sorted_rows)
+    if needs_sort:
+        rows = np.sort(rows, axis=1) if sorted_rows is None else sorted_rows
+    return kernel(rows, log_density) if test == "lrt" else kernel(rows)
+
+
+def replicate_rows(count, n, draw):
+    """Yield (lo, rows) with rows[k] = draw(lo + k), covering replicates
+    0..count-1 in blocks of at most ROW_BLOCK_VALUES values."""
+    step = max(1, ROW_BLOCK_VALUES // n)
+    for lo in range(0, count, step):
+        rows = np.empty((min(step, count - lo), n))
+        for k in range(len(rows)):
+            rows[k] = draw(lo + k)
+        yield lo, rows
 
 
 # ---------------------------------------------------------------------------
@@ -220,11 +235,11 @@ def build_empirical_null(
     n = _sample_size(n)
     if B < 1:
         raise ValueError("B must be >= 1")
+    if test not in _BATCH:
+        raise ValueError(f"unknown test identifier {test!r}")
     if test == "lrt":
         if alt_log_density is None or label is None:
             raise ValueError("lrt null requires alt_log_density and a label fingerprinting it")
-    elif test not in _BATCH:
-        raise ValueError(f"unknown test identifier {test!r}")
     elif alt_log_density is not None:
         raise ValueError("alt_log_density is only meaningful for the lrt test")
 
@@ -235,19 +250,13 @@ def build_empirical_null(
         if cached is not None:
             return cached
 
-    chunk = max(1, ROW_BLOCK_VALUES // n)
     stats = np.empty(B)
-    for lo in range(0, B, chunk):
-        c = min(chunk, B - lo)
-        rows = np.empty((c, n))
-        for r in range(c):
-            # documented stream derivation: one child stream per (seed, replicate_index)
-            rows[r] = stream(seed, lo + r).random(n)
-        if test == "lrt":
-            vals = np.asarray(alt_log_density(rows), dtype=float)
-            stats[lo : lo + c] = vals.sum(axis=1)
-        else:
-            stats[lo : lo + c] = batch_statistics(test, rows)
+    # documented stream derivation: one child stream per (seed, replicate_index)
+    for lo, rows in replicate_rows(B, n, lambda r: stream(seed, r).random(n)):
+        stats[lo : lo + len(rows)] = batch_statistics(test, rows, log_density=alt_log_density)
+    nan_count = int(np.isnan(stats).sum())
+    if nan_count:
+        raise ValueError(f"{test} null at n={n}: {nan_count}/{B} statistics are NaN")
     stats.sort()
     null = EmpiricalNull(test_name=test, n=n, statistics=stats, B=B, seed=seed)
     _store_null(path, null)

@@ -19,8 +19,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .classic import (CLASSIC_TESTS, ROW_BLOCK_VALUES, batch_statistics, build_empirical_null,
-                      empirical_p_value)
+from .classic import (CLASSIC_TESTS, batch_statistics, build_empirical_null, empirical_p_value,
+                      replicate_rows)
 from .core import corrected_p_value, pitos_p_value
 from .distributions import DistributionSpec, ScenarioSampler, scenario_code, zoo_lookup
 from .pairs import generate_pairs, random_pairs
@@ -95,15 +95,14 @@ def _resolve_dist(dist):
     return zoo_lookup(dist)
 
 
-def _pitos_pairs(n, pair_seed):
-    """The default sequence for n, or the random-uniform one under pair_seed."""
-    return generate_pairs(n) if pair_seed is None else random_pairs(n, pair_seed)
-
-
-def _classic_nulls(tests, n, null_b, seed, cache_dir):
-    """The empirical null of each classical test in the roster at n."""
-    return {t: build_empirical_null(t, n, null_b, seed, cache_dir=cache_dir)
-            for t in tests if t in CLASSIC_TESTS}
+def _resolve_roster(tests, n, seed, null_b, cache_dir, pair_seed):
+    """(pairs, nulls) for the roster at n: pitos's default sequence, or the
+    random-uniform one under pair_seed, and each classical test's null."""
+    pairs = None
+    if "pitos" in tests:
+        pairs = generate_pairs(n) if pair_seed is None else random_pairs(n, pair_seed)
+    return pairs, {t: build_empirical_null(t, n, null_b, seed, cache_dir=cache_dir)
+                   for t in tests if t in CLASSIC_TESTS}
 
 
 def _normalize_tests(tests):
@@ -121,42 +120,32 @@ def _pvalue_matrix(dist, tests, n, replicates, seed, scen_code, dist_index, pair
 
     The pitos row holds the uncorrected combination p; pass it through
     corrected_p_value before comparing it with a level.  `nulls` maps every
-    test but pitos to its empirical null.  Replicates are scored in row
-    blocks of at most ROW_BLOCK_VALUES values; every statistic is computed
-    per row, so the block size never changes a p-value.
+    test but pitos to its empirical null.  Replicates are scored in the row
+    blocks of classic.replicate_rows; every statistic is computed per row,
+    so the block size never changes a p-value.  A replicate any test cannot
+    score is a NaN, counted against FAILURE_BUDGET and read as p = 1.
     """
-    if replicates < 1:
-        raise ValueError("replicates must be >= 1")
     out = np.empty((len(tests), replicates))
-    failures = dict.fromkeys(tests, 0)
-    step = max(1, ROW_BLOCK_VALUES // max(n, 1))
-    for lo in range(0, replicates, step):
-        hi = min(lo + step, replicates)
-        rows = np.empty((hi - lo, n))
-        for r in range(lo, hi):
-            rows[r - lo] = replicate_dataset(seed, scen_code, dist_index, r, dist, n)
+    for lo, rows in replicate_rows(
+            replicates, n, lambda r: replicate_dataset(seed, scen_code, dist_index, r, dist, n)):
         if np.any(np.isnan(rows)) or rows.min() < 0.0 or rows.max() > 1.0:
             raise ValueError(f"sampler for {dist.name!r} produced values outside [0, 1]")
         sorted_rows = np.sort(rows, axis=1)
-        for t_idx, test in enumerate(tests):
+        for k, test in enumerate(tests):
             if test == "pitos":
-                for r in range(lo, hi):
+                for r, row in enumerate(rows, lo):
                     try:
-                        out[t_idx, r] = pitos_p_value(rows[r - lo], pairs).p_uncorrected
+                        out[k, r] = pitos_p_value(row, pairs).p_uncorrected
                     except (ValueError, FloatingPointError):
-                        failures[test] += 1
-                        out[t_idx, r] = 1.0
-                continue
-            if test == "lrt":
-                stats = np.asarray(dist.log_density(rows), dtype=float).sum(axis=1)
+                        out[k, r] = np.nan
             else:
-                stats = batch_statistics(test, rows, sorted_rows)
-                bad = np.isnan(stats)
-                failures[test] += int(bad.sum())
-                stats = np.where(bad, -np.inf, stats)
-            out[t_idx, lo:hi] = empirical_p_value(nulls[test], stats)
+                stats = batch_statistics(test, rows, sorted_rows, dist.log_density)
+                p = empirical_p_value(nulls[test], stats)
+                out[k, lo : lo + len(rows)] = np.where(np.isnan(stats), np.nan, p)
 
-    for test, count in failures.items():
+    failed = np.isnan(out)
+    out[failed] = 1.0
+    for test, count in zip(tests, failed.sum(axis=1)):
         if count:
             if count > FAILURE_BUDGET * replicates:
                 raise RuntimeError(
@@ -178,12 +167,11 @@ def _power_reports(jobs, tests, alpha, replicates, seed, null_b, cache_dir, pair
     """
     if not (0.0 < alpha < 1.0):
         raise ValueError("alpha must lie strictly inside (0, 1)")
+    if replicates < 1:
+        raise ValueError("replicates must be >= 1")
     tests = _normalize_tests(tests)
-    resolved = {
-        n: (_pitos_pairs(n, pair_seed) if "pitos" in tests else None,
-            _classic_nulls(tests, n, null_b, seed, cache_dir))
-        for n in dict.fromkeys(job[1] for job in jobs)
-    }
+    resolved = {n: _resolve_roster(tests, n, seed, null_b, cache_dir, pair_seed)
+                for n in dict.fromkeys(job[1] for job in jobs)}
 
     def run(job):
         dist, n, scen_code, dist_index = job
@@ -391,8 +379,9 @@ def null_pitos_pvalues(n, replicates, seed, *, pair_seed=None):
 
 def _null_pvalues(test, n, replicates, seed, null_b, cache_dir, pair_seed):
     """One test's p-values (uncorrected for pitos) on Uniform(0,1) replicates."""
-    pairs = _pitos_pairs(n, pair_seed) if test == "pitos" else None
-    nulls = _classic_nulls((test,), n, null_b, seed, cache_dir)
+    if replicates < 1:
+        raise ValueError("replicates must be >= 1")
+    pairs, nulls = _resolve_roster((test,), n, seed, null_b, cache_dir, pair_seed)
     uniform = zoo_lookup("uniform")
     return _pvalue_matrix(uniform, (test,), n, replicates, seed, 0, 0, pairs, nulls)[0]
 

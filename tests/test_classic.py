@@ -196,6 +196,13 @@ class TestEmpiricalNull:
                                  cache_dir=cache_dir)
         assert not cache_dir.exists()
 
+    def test_nan_null_statistics_are_named_and_not_cached(self, cache_dir):
+        below_half_is_nan = lambda x: np.where(np.asarray(x) < 0.5, np.nan, 0.0)
+        with pytest.raises(ValueError, match=r"^lrt null at n=1: 22/50 statistics are NaN$"):
+            build_empirical_null("lrt", 1, B=50, seed=0, alt_log_density=below_half_is_nan,
+                                 label="nan", cache_dir=cache_dir)
+        assert not cache_dir.exists()
+
     def test_unknown_test_rejected(self, cache_dir):
         with pytest.raises(ValueError):
             build_empirical_null("watson", 10, B=10, seed=0, cache_dir=cache_dir)

@@ -300,6 +300,20 @@ class TestTabularSubcommands:
         assert err == "error: replicates must be >= 1\n"
         assert not out_csv.exists()
 
+    @pytest.mark.parametrize("command", [
+        ["power", "--dist", "uniform", "--tests", "ks"],
+        ["calibrate", "--test", "ks"],
+    ])
+    def test_replicate_count_checked_before_any_null_is_built(self, tmp_path, capsys, command):
+        cache = tmp_path / "cache"
+        code, out, err = run_cli(
+            command + ["--n", "10", "--reps", "0", "--null-b", "50", "--cache-dir", str(cache)],
+            capsys,
+        )
+        assert code == 2 and out == ""
+        assert err == "error: replicates must be >= 1\n"
+        assert not cache.exists()
+
     @pytest.mark.parametrize("argv", [
         ["power", "--dist", "uniform", "--tests", "ks", "--n", "0", "--reps", "10"],
         ["calibrate", "--test", "ks", "--n", "0", "--reps", "10"],

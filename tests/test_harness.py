@@ -19,7 +19,7 @@ from pitos.harness import (
     replicate_dataset,
     scenario_study,
 )
-from pitos.distributions import zoo_lookup
+from pitos.distributions import DistributionSpec, zoo_lookup
 
 
 class TestEstimatePower:
@@ -122,7 +122,6 @@ class TestRowBlocks:
 
     def test_block_size_is_bitwise_neutral(self, monkeypatch, tmp_path):
         whole = self._run(monkeypatch, tmp_path / "whole")
-        monkeypatch.setattr(harness, "ROW_BLOCK_VALUES", 3 * 9)
         monkeypatch.setattr(classic, "ROW_BLOCK_VALUES", 3 * 9)
         blocked = self._run(monkeypatch, tmp_path / "blocked")
         assert blocked[0] == whole[0]
@@ -130,15 +129,31 @@ class TestRowBlocks:
         assert [m.tobytes() for m in blocked[2]] == [m.tobytes() for m in whole[2]]
 
     def test_failures_add_up_across_blocks(self, monkeypatch, cache_dir):
-        def first_row_fails(test, rows, sorted_rows):
-            stats = classic.batch_statistics(test, rows, sorted_rows)
+        def first_row_fails(test, rows, sorted_rows, log_density):
+            stats = classic.batch_statistics(test, rows, sorted_rows, log_density)
             stats[0] = np.nan
             return stats
 
-        monkeypatch.setattr(harness, "ROW_BLOCK_VALUES", 3 * 10)
+        monkeypatch.setattr(classic, "ROW_BLOCK_VALUES", 3 * 10)
         monkeypatch.setattr(harness, "batch_statistics", first_row_fails)
         with pytest.raises(RuntimeError, match="ks: 4/12 replicates failed"):
             estimate_power("uniform", "ks", 10, replicates=12, null_b=50, cache_dir=cache_dir)
+
+    def test_nan_lrt_statistics_are_failures_not_rejections(self, cache_dir):
+        # ~2% of values sit at exactly 1.0, where the alternative's log-density
+        # is NaN; a NaN statistic must count against the budget, not reject
+        def sampler(n, rng):
+            x = rng.random(n)
+            x[rng.random(n) < 0.02] = 1.0
+            return x
+
+        edge = DistributionSpec(
+            name="edge", parameters={}, sampler=sampler,
+            log_density=lambda x: np.where(np.asarray(x) == 1.0, np.nan, 0.0),
+        )
+        with pytest.raises(RuntimeError, match="^lrt: 133/400 replicates failed on 'edge'$"):
+            estimate_power(edge, ("lrt", "ks"), 20, replicates=400, seed=1, null_b=200,
+                           cache_dir=cache_dir)
 
 
 class TestCommonRandomNumbers:
