@@ -304,12 +304,13 @@ def empirical_p_value(null, observed):
     """Upper-tail add-one Monte Carlo p-value (1 + #{null >= obs}) / (B + 1).
 
     Never exactly 0; ties with null statistics count toward the exceedance
-    set.  `observed` may be a scalar or an array.
+    set.  `observed` may be a scalar or an array; a NaN observation (an
+    unscorable sample) gets a NaN p-value.
     """
     stats = null.statistics
     obs = np.asarray(observed, dtype=float)
     exceed = null.B - np.searchsorted(stats, obs, side="left")
-    p = (1.0 + exceed) / (null.B + 1.0)
+    p = np.where(np.isnan(obs), np.nan, (1.0 + exceed) / (null.B + 1.0))
     return float(p) if p.ndim == 0 else p
 
 

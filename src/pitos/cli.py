@@ -15,20 +15,21 @@ Input files hold one decimal value per line; blank lines and '#' comments
 import argparse
 import csv
 import functools
-import io
 import json
 import logging
 import math
 import sys
+import types
 from pathlib import Path
 
 import numpy as np
 
-from .classic import CLASSIC_TESTS, VERDICT_NULL_B, classic_test
+from .classic import VERDICT_NULL_B, classic_test
 from .core import OrderedSample, pitos_p_value
 from .distributions import SCENARIOS, ScenarioSampler, zoo_lookup
 from .harness import (
     DEFAULT_REPLICATES,
+    DEFAULT_TESTS,
     STUDY_NULL_B,
     null_pvalue_cdf,
     power_curve,
@@ -41,7 +42,7 @@ from .streams import stream
 __all__ = ["main", "entrypoint"]
 
 PAPER_SCALE = 100_000
-DEFAULT_ROSTER = ",".join(("pitos",) + CLASSIC_TESTS)
+_BLOCK_ROWS = 1 << 16  # rows per chunk of a numbers-only table: bounds the text held at once
 
 CALIBRATION_GRID = (
     [round(0.001 * k, 3) for k in range(1, 10)]
@@ -99,25 +100,39 @@ def read_values(path):
     return np.array(values)
 
 
-def _write_text(path, text):
+def _write_text(path, chunks):
+    """Write an iterable of text chunks to the file at `path`, or to stdout."""
     if path is None:
-        sys.stdout.write(text)
-    else:
-        Path(path).write_text(text, encoding="utf-8")
+        sys.stdout.writelines(chunks)
+        return
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.writelines(chunks)
 
 
-def _csv_text(header, rows):
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows(rows)
-    return buf.getvalue()
+def _numeric_table(header, row_format, *columns):
+    """A numbers-only table, which needs no csv quoting, as text chunks: the
+    header, then one chunk per _BLOCK_ROWS rows of row_format.format(k, *row)
+    for the 1-based row number k, each column converted a block at a time."""
+    yield header
+    for lo in range(0, len(columns[0]), _BLOCK_ROWS):
+        hi = lo + _BLOCK_ROWS
+        yield "".join(map(row_format.format, range(lo + 1, hi + 1),
+                          *(c[lo:hi].tolist() for c in columns)))
+
+
+def _csv_lines(header, rows):
+    """CSV lines for tables whose fields can need quoting: distribution
+    names such as gap(0.5,0.05) hold commas."""
+    lines = []
+    csv.writer(types.SimpleNamespace(write=lines.append), lineterminator="\n").writerows(
+        [header, *rows])
+    return lines
 
 
 def _write_study_table(args, null_b, header, rows, config):
     """A study's CSV to --out (or stdout).  With --out it also writes the
     sidecar: the handler's own `config` plus the keys every study records."""
-    _write_text(args.out, _csv_text(header, rows))
+    _write_text(args.out, _csv_lines(header, rows))
     if args.out is None:
         return
     config.update(
@@ -159,14 +174,9 @@ def _cmd_test(args):
             pairs = generate_pairs(sample.n)
         verdict = pitos_p_value(sample, pairs, detail=args.emit_detail is not None)
         if args.emit_detail is not None:
-            # numbers only, so no field needs csv quoting; writelines formats
-            # row by row instead of first collecting every row in a list
             det = verdict.detail
-            buf = io.StringIO()
-            buf.write("k,i,j,u,p\n")
-            buf.writelines(map("{},{},{},{!r},{!r}\n".format, range(1, verdict.m + 1),
-                               det.i.tolist(), det.j.tolist(), det.u.tolist(), det.p.tolist()))
-            _write_text(args.emit_detail, buf.getvalue())
+            _write_text(args.emit_detail, _numeric_table(
+                "k,i,j,u,p\n", "{},{},{},{!r},{!r}\n", det.i, det.j, det.u, det.p))
         payload = {
             "test": "PITOS",
             "n": verdict.n,
@@ -193,15 +203,14 @@ def _cmd_test(args):
 
 def _cmd_pairs(args):
     seq = generate_pairs(args.n)
-    rows = zip(range(1, seq.m + 1), seq.i.tolist(), seq.j.tolist())
-    _write_text(args.out, _csv_text(["k", "i", "j"], rows))
+    _write_text(args.out, _numeric_table("k,i,j\n", "{},{},{}\n", seq.i, seq.j))
     return 0
 
 
 def _cmd_sample(args):
     spec = zoo_lookup(args.dist)
     values = spec.sample(args.n, stream(args.seed, 0, 0, 1))
-    _write_text(args.out, "".join(repr(float(v)) + "\n" for v in values))
+    _write_text(args.out, _numeric_table("", "{1!r}\n", values))
     return 0
 
 
@@ -211,8 +220,7 @@ def _cmd_scenarios(args):
     for idx, spec in enumerate(sampler.draw_many(args.count)):
         params = json.dumps(spec.parameters, sort_keys=True)
         rows.append((idx, args.name, spec.name, params))
-    text = _csv_text(["index", "scenario", "distribution", "parameters"], rows)
-    _write_text(args.out, text)
+    _write_text(args.out, _csv_lines(["index", "scenario", "distribution", "parameters"], rows))
     return 0
 
 
@@ -332,7 +340,7 @@ def build_parser():
         """Flags shared by power, calibrate and study: --reps where it is
         optional, and the roster and level where tests are compared."""
         if roster:
-            p.add_argument("--tests", default=DEFAULT_ROSTER, help="comma-separated roster")
+            p.add_argument("--tests", default=",".join(DEFAULT_TESTS), help="comma-separated roster")
             p.add_argument("--alpha", type=float, default=0.05)
         if reps:
             p.add_argument("--reps", type=int, default=None,
@@ -347,7 +355,7 @@ def build_parser():
 
     p = sub.add_parser("test", help="run one test on a data file")
     p.add_argument("--input", required=True, help="one numeric value per line")
-    p.add_argument("--method", default="pitos", choices=("pitos",) + CLASSIC_TESTS)
+    p.add_argument("--method", default="pitos", choices=DEFAULT_TESTS)
     p.add_argument("--null-cdf", default=None,
                    help="map data through this zoo distribution's PIT before testing")
     p.add_argument("--emit-detail", default=None, metavar="PATH",
@@ -386,7 +394,7 @@ def build_parser():
     p.set_defaults(handler=_cmd_power)
 
     p = sub.add_parser("calibrate", help="null p-value CDF on a threshold grid")
-    p.add_argument("--test", default="pitos", choices=("pitos",) + CLASSIC_TESTS)
+    p.add_argument("--test", default="pitos", choices=DEFAULT_TESTS)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--grid", default=None, help="comma-separated thresholds in [0, 1]")
     add_study_flags(p, roster=False)

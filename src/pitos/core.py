@@ -143,6 +143,15 @@ def _available_cores():
     return os.cpu_count() or 1
 
 
+def thread_map(fn, items, threads):
+    """[fn(x) for x in items], on a pool of `threads` threads when there is
+    more than one thread and more than one item; results keep item order."""
+    if threads is None or threads <= 1 or len(items) <= 1:
+        return list(map(fn, items))
+    with ThreadPoolExecutor(max_workers=int(threads)) as pool:
+        return list(pool.map(fn, items))
+
+
 def _conditional_u_block(sorted_x, i_idx, j_idx, n, out):
     """u values for index pair arrays against one sorted sample, into `out`.
 
@@ -242,7 +251,7 @@ def pitos_p_value(sample, pairs=None, *, detail=False):
     u_all = np.empty(m) if detail else None
     starts = range(0, m, _BLOCK)
     # one block (every m <= 2^20, so every dedup sequence) runs inline
-    workers = min(len(starts), _available_cores()) if len(starts) > 1 else 1
+    workers = min(len(starts), _available_cores())
     # One (u, terms) buffer pair per worker, allocated here: memory a pool
     # thread allocates stays with that thread's malloc arena after it exits.
     size = min(m, _BLOCK)
@@ -261,13 +270,9 @@ def pitos_p_value(sample, pairs=None, *, detail=False):
         spare.append(buffers)
         return total
 
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            sums = list(pool.map(block_sum, starts))
-    else:
-        sums = list(map(block_sum, starts))
     total = 0.0
-    for block_total in sums:  # left to right in block order, whatever ran them
+    # left to right in block order, whatever ran them
+    for block_total in thread_map(block_sum, starts, workers):
         total += block_total
     statistic = total / m
 

@@ -147,6 +147,31 @@ def make_discrete_uniform_99():
     )
 
 
+def _window_mixture(lo, hi, span, mass):
+    """sampler, log_density and cdf of mass * U(lo, hi) + (1-mass) * U(0, 1).
+
+    `span` is the window length as the caller writes it; it scales the
+    draws and the cdf, so it is passed rather than recomputed as hi - lo.
+    """
+    inside_density = mass / span + (1.0 - mass)
+
+    def sampler(n, rng):
+        base = rng.random(n)
+        pick = rng.random(n) < mass
+        return np.where(pick, lo + span * base, base)
+
+    def log_density(x):
+        x = np.asarray(x, dtype=float)
+        inside = (x >= lo) & (x <= hi)
+        return np.where(inside, math.log(inside_density), math.log1p(-mass))
+
+    def cdf(x):
+        x = np.clip(np.asarray(x, dtype=float), 0.0, 1.0)
+        return mass * np.clip((x - lo) / span, 0.0, 1.0) + (1.0 - mass) * x
+
+    return {"sampler": sampler, "log_density": log_density, "cdf": cdf}
+
+
 def make_bump(center, width, mass):
     """Mixture mass * U(center-width, center+width) + (1-mass) * U(0, 1)."""
     center, width, mass = float(center), float(width), float(mass)
@@ -155,31 +180,11 @@ def make_bump(center, width, mass):
     if not (0.0 <= mass <= 1.0):
         raise ValueError("bump mass must lie in [0, 1]")
     lo, hi = center - width, center + width
-    inside_density = mass / (2.0 * width) + (1.0 - mass)
-
-    def sampler(n, rng):
-        base = rng.random(n)
-        pick = rng.random(n) < mass
-        return np.where(pick, lo + 2.0 * width * base, base)
-
-    def log_density(x):
-        x = np.asarray(x, dtype=float)
-        inside = (x >= lo) & (x <= hi)
-        with np.errstate(divide="ignore"):
-            return np.where(inside, math.log(inside_density), math.log1p(-mass))
-
-    def cdf(x):
-        x = np.clip(np.asarray(x, dtype=float), 0.0, 1.0)
-        bump_part = np.clip((x - lo) / (2.0 * width), 0.0, 1.0)
-        return mass * bump_part + (1.0 - mass) * x
-
     return DistributionSpec(
         name=f"bump({center:g},{width:g},{mass:g})",
         parameters={"center": center, "width": width, "mass": mass},
-        sampler=sampler,
-        log_density=log_density,
-        cdf=cdf,
         breakpoints=(lo, hi),
+        **_window_mixture(lo, hi, 2.0 * width, mass),
     )
 
 
@@ -220,28 +225,11 @@ def make_outliers(mix, bound):
     mix, bound = float(mix), float(bound)
     if not (0.0 <= mix <= 1.0 and 0.0 < bound <= 1.0):
         raise ValueError("need mix in [0, 1] and bound in (0, 1]")
-    inside_density = mix / bound + (1.0 - mix)
-
-    def sampler(n, rng):
-        base = rng.random(n)
-        pick = rng.random(n) < mix
-        return np.where(pick, bound * base, base)
-
-    def log_density(x):
-        x = np.asarray(x, dtype=float)
-        return np.where(x <= bound, math.log(inside_density), math.log1p(-mix))
-
-    def cdf(x):
-        x = np.clip(np.asarray(x, dtype=float), 0.0, 1.0)
-        return mix * np.clip(x / bound, 0.0, 1.0) + (1.0 - mix) * x
-
     return DistributionSpec(
         name=f"outliers({mix:g},{bound:g})",
         parameters={"mix": mix, "bound": bound},
-        sampler=sampler,
-        log_density=log_density,
-        cdf=cdf,
         breakpoints=(bound,),
+        **_window_mixture(0.0, bound, bound, mix),
     )
 
 
@@ -292,10 +280,10 @@ SCENARIOS = (
 )
 
 
-def _draw_beta_family(rng, mu_draw, gamma_shape, condition):
+def _draw_beta_family(rng, mu_draw, gamma_shape, condition, gamma_scale=0.5):
     for _ in range(REJECTION_CAP):
         mu = mu_draw(rng)
-        sigma = rng.gamma(gamma_shape, 0.5)
+        sigma = rng.gamma(gamma_shape, gamma_scale)
         if condition(min(mu * sigma, (1.0 - mu) * sigma)):
             spec = make_beta(mu * sigma, (1.0 - mu) * sigma)
             spec.parameters.update({"mu": mu, "sigma": sigma})
@@ -324,11 +312,7 @@ def draw_scenario_distribution(scenario, rng):
             bound = rng.uniform(0.0, 0.01)
         return make_outliers(mix, bound)
     if scenario == "nearly-uniform":
-        mu = rng.beta(50, 50)
-        sigma = rng.gamma(100.0, 1.0 / 50.0)
-        spec = make_beta(mu * sigma, (1.0 - mu) * sigma)
-        spec.parameters.update({"mu": mu, "sigma": sigma})
-        return spec
+        return _draw_beta_family(rng, lambda r: r.beta(50, 50), 100.0, lambda lo: True, 1.0 / 50.0)
     if scenario == "random-bump":
         center = rng.uniform(0.001, 0.999)
         mass = rng.uniform(0.0, 0.1)

@@ -14,14 +14,13 @@ full-size experiments.
 
 import json
 import logging
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .classic import (CLASSIC_TESTS, batch_statistics, build_empirical_null, empirical_p_value,
                       replicate_rows)
-from .core import corrected_p_value, pitos_p_value
+from .core import corrected_p_value, pitos_p_value, thread_map
 from .distributions import DistributionSpec, ScenarioSampler, scenario_code, zoo_lookup
 from .pairs import generate_pairs, random_pairs
 from .streams import stream
@@ -29,6 +28,7 @@ from .streams import stream
 __all__ = [
     "ALL_TESTS",
     "DEFAULT_REPLICATES",
+    "DEFAULT_TESTS",
     "NullPvalueCdf",
     "PowerReport",
     "RankSummary",
@@ -43,7 +43,8 @@ __all__ = [
 
 log = logging.getLogger(__name__)
 
-ALL_TESTS = ("pitos",) + CLASSIC_TESTS + ("lrt",)
+DEFAULT_TESTS = ("pitos",) + CLASSIC_TESTS  # the tests that need no alternative
+ALL_TESTS = DEFAULT_TESTS + ("lrt",)
 DEFAULT_REPLICATES = 2_000
 STUDY_NULL_B = 20_000  # desk-scale null draws behind a study's classical p-values
 FAILURE_BUDGET = 0.001  # replicate-failure fraction tolerated per test
@@ -140,8 +141,7 @@ def _pvalue_matrix(dist, tests, n, replicates, seed, scen_code, dist_index, pair
                         out[k, r] = np.nan
             else:
                 stats = batch_statistics(test, rows, sorted_rows, dist.log_density)
-                p = empirical_p_value(nulls[test], stats)
-                out[k, lo : lo + len(rows)] = np.where(np.isnan(stats), np.nan, p)
+                out[k, lo : lo + len(rows)] = empirical_p_value(nulls[test], stats)
 
     failed = np.isnan(out)
     out[failed] = 1.0
@@ -202,7 +202,7 @@ def _power_reports(jobs, tests, alpha, replicates, seed, null_b, cache_dir, pair
             seed=int(seed),
         )
 
-    return _run_jobs(run, jobs, threads)
+    return thread_map(run, jobs, threads)
 
 
 def estimate_power(
@@ -257,7 +257,7 @@ def scenario_study(
     alpha=0.05,
     seed=0,
     *,
-    tests=("pitos",) + CLASSIC_TESTS,
+    tests=DEFAULT_TESTS,
     null_b=STUDY_NULL_B,
     cache_dir=None,
     threads=1,
@@ -310,13 +310,6 @@ def _fractional_ranks(power_row):
             out[member, pos : end + 1] = weight
         pos = end + 1
     return out
-
-
-def _run_jobs(fn, jobs, threads):
-    if threads is None or threads <= 1 or len(jobs) <= 1:
-        return [fn(job) for job in jobs]
-    with ThreadPoolExecutor(max_workers=int(threads)) as pool:
-        return list(pool.map(fn, jobs))  # merged in submission order
 
 
 @dataclass

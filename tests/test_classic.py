@@ -236,6 +236,13 @@ class TestEmpiricalPValue:
         out = empirical_p_value(null, np.array([-1.0, 2.0]))
         np.testing.assert_allclose(out, [1.0, 0.1])
 
+    def test_nan_observation_gets_nan(self):
+        # an unscorable sample is no evidence, not the strongest rejection
+        null = EmpiricalNull("ks", 5, np.linspace(0.1, 0.9, 99), B=99, seed=0)
+        assert math.isnan(empirical_p_value(null, float("nan")))
+        out = empirical_p_value(null, np.array([2.0, np.nan, -1.0]))
+        assert out[0] == 0.01 and math.isnan(out[1]) and out[2] == 1.0
+
 
 class TestAddOneValidity:
     def test_null_rejection_rates_at_three_levels(self, session_cache_dir):

@@ -11,6 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from pitos import cli
 from pitos.cli import build_parser, main, read_values
 
 REPO_SRC = str(Path(__file__).resolve().parents[1] / "src")
@@ -427,6 +428,31 @@ def test_frozen_cli_bytes(tmp_path, capsys, name):
     sidecar = Path(str(out) + ".meta.json")
     got = (hashlib.md5(stdout.encode()).hexdigest(), digest(out), digest(sidecar))
     assert got == expected
+
+
+@pytest.mark.parametrize("name", ["pairs", "test_pitos_detail", "sample"])
+def test_frozen_bytes_in_seven_row_blocks(tmp_path, capsys, monkeypatch, name):
+    # 311 pair rows, 1516 detail rows and 20 sample rows: each table ends
+    # in a partial block
+    monkeypatch.setattr(cli, "_BLOCK_ROWS", 7)
+    test_frozen_cli_bytes(tmp_path, capsys, name)
+
+
+def test_detail_csv_reaches_the_sink_one_block_at_a_time(tmp_path, capsys, monkeypatch):
+    received = {}
+
+    def record(path, chunks):
+        assert not isinstance(chunks, str), "the whole table was built before writing"
+        received[path] = list(chunks)
+
+    monkeypatch.setattr(cli, "_write_text", record)
+    data, out = tmp_path / "data.txt", str(tmp_path / "detail.csv")
+    data.write_text("".join(f"{v!r}\n" for v in np.random.default_rng(5).random(1000).tolist()))
+    code, _, _ = run_cli(["test", "--input", str(data), "--emit-detail", out], capsys)
+    assert code == 0
+    rows = [chunk.count("\n") for chunk in received[out]]
+    assert sum(rows) == 1 + 70_078  # header and m(1000) pairs: more than one block
+    assert max(rows) <= cli._BLOCK_ROWS
 
 
 class TestRoundTrip:

@@ -2,6 +2,7 @@
 the Gamma parameterization is shape-scale, and the scenario rejection
 conditions hold on every draw."""
 
+import hashlib
 import math
 import warnings
 
@@ -185,3 +186,33 @@ class TestScenarios:
             draw_scenario_distribution("weird", np.random.default_rng(0))
         with pytest.raises(ValueError):
             ScenarioSampler("weird", 0)
+
+
+# md5 of a member's parameters, breakpoints, 500 draws and its log-density and
+# cdf on 1001 points of [0, 1], frozen before bump and outliers shared one
+# mixture law and nearly-uniform shared the beta-family draw; "scenario#k" is
+# draw k of that scenario under seed 4
+FROZEN_LAWS = {
+    "bump(0.5,0.05,0.3)": "9d5794804c80904948bc3b1f51b88d3c",
+    "bump(0.999,0.001,0.1)": "86872a8b48ef4c6c607b44f010010c1b",
+    "outliers#0": "f9d7ef775c494426658d0c333443362f",
+    "outliers#2": "6aadf40a63285a8154b23f9ed5226f64",
+    "nearly-uniform#1": "a30338bde957832697cd46c113c70fdd",
+    "random-bump#2": "19e81c93d6cc189fa1b6414c7b22fe06",
+}
+
+
+def _law_digest(spec):
+    x = np.linspace(0.0, 1.0, 1001)
+    h = hashlib.md5(repr((spec.name, spec.parameters, spec.breakpoints)).encode())
+    h.update(spec.sample(500, np.random.default_rng(3)).tobytes())
+    h.update(np.asarray(spec.log_density(x), dtype=float).tobytes())
+    h.update(np.asarray(spec.cdf(x), dtype=float).tobytes())
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize("key", list(FROZEN_LAWS))
+def test_frozen_laws(key):
+    scenario, _, index = key.partition("#")
+    spec = ScenarioSampler(scenario, 4).draw(int(index)) if index else zoo_lookup(key)
+    assert _law_digest(spec) == FROZEN_LAWS[key]
