@@ -205,46 +205,39 @@ def resolve_cache_dir(cache_dir=None):
     return Path.home() / ".cache" / "pitos"
 
 
-def _cache_path(cache_dir, test, n, B, seed, label):
+def _cache_path(cache_dir, test, n, B, seed, alternative):
     name = f"{test}_n{n}_B{B}_s{seed}"
-    if label is not None:
-        digest = hashlib.sha256(label.encode()).hexdigest()[:16]
-        name += f"_{digest}"
+    if alternative is not None:
+        label = json.dumps([alternative.name, alternative.parameters], sort_keys=True, default=repr)
+        name += f"_{hashlib.sha256(label.encode()).hexdigest()[:16]}"
     return Path(cache_dir) / f"{name}.npz"
 
 
-def build_empirical_null(
-    test,
-    n,
-    B=VERDICT_NULL_B,
-    seed=0,
-    *,
-    alt_log_density=None,
-    label=None,
-    cache_dir=None,
-):
+def build_empirical_null(test, n, B=VERDICT_NULL_B, seed=0, *, alternative=None, cache_dir=None):
     """B null statistics from i.i.d. Uniform(0,1) samples of size n, sorted.
 
     Deterministic given the seed: replicate r draws its sample from the
     stream derived from (seed, r), so the result is identical no matter how
     replicates are scheduled.  Results are cached on disk keyed by
-    (test, n, B, seed) plus, for the LRT, a caller-supplied label
-    fingerprinting the alternative density (required: without it every
-    density would share one file).
+    (test, n, B, seed).  The lrt null also needs `alternative`, the
+    DistributionSpec whose log-density it sums; its file is further keyed
+    by the spec's name and full-precision parameters (names keep 6
+    significant digits, so two alternatives can print alike).
     """
     n = _sample_size(n)
     if B < 1:
         raise ValueError("B must be >= 1")
     if test not in _BATCH:
         raise ValueError(f"unknown test identifier {test!r}")
-    if test == "lrt":
-        if alt_log_density is None or label is None:
-            raise ValueError("lrt null requires alt_log_density and a label fingerprinting it")
-    elif alt_log_density is not None:
-        raise ValueError("alt_log_density is only meaningful for the lrt test")
+    log_density = getattr(alternative, "log_density", None)
+    if test == "lrt" and log_density is None:
+        name = getattr(alternative, "name", alternative)
+        raise ValueError(f"lrt oracle needs an alternative with a log-density, got {name!r}")
+    if test != "lrt" and alternative is not None:
+        raise ValueError("an alternative is only meaningful for the lrt test")
 
     cache_dir = resolve_cache_dir(cache_dir)
-    path = _cache_path(cache_dir, test, n, B, seed, label)
+    path = _cache_path(cache_dir, test, n, B, seed, alternative)
     if path.exists():
         cached = _load_null(path, test, n, B, seed)
         if cached is not None:
@@ -253,7 +246,7 @@ def build_empirical_null(
     stats = np.empty(B)
     # documented stream derivation: one child stream per (seed, replicate_index)
     for lo, rows in replicate_rows(B, n, lambda r: stream(seed, r).random(n)):
-        stats[lo : lo + len(rows)] = batch_statistics(test, rows, log_density=alt_log_density)
+        stats[lo : lo + len(rows)] = batch_statistics(test, rows, log_density=log_density)
     nan_count = int(np.isnan(stats).sum())
     if nan_count:
         raise ValueError(f"{test} null at n={n}: {nan_count}/{B} statistics are NaN")

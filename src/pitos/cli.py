@@ -33,6 +33,7 @@ from .harness import (
     STUDY_NULL_B,
     null_pvalue_cdf,
     power_curve,
+    replicate_dataset,
     scenario_study,
 )
 from .pairs import generate_pairs
@@ -209,7 +210,7 @@ def _cmd_pairs(args):
 
 def _cmd_sample(args):
     spec = zoo_lookup(args.dist)
-    values = spec.sample(args.n, stream(args.seed, 0, 0, 1))
+    values = replicate_dataset(args.seed, 0, 0, 0, spec, args.n)
     _write_text(args.out, _numeric_table("", "{1!r}\n", values))
     return 0
 

@@ -3,7 +3,7 @@
 Zoo members (all supported on [0, 1]):
 
   uniform              flat density
-  beta(a,b)            arbitrary positive shapes
+  beta(a,b)            arbitrary positive finite shapes
   phi-laplace          distribution of Phi(Y), Y ~ Laplace(0,1), Phi the
                        standard normal CDF; heavy PIT tails
   discrete-uniform-99  uniform on {0.01, 0.02, ..., 0.99}
@@ -37,7 +37,7 @@ from typing import Callable
 import numpy as np
 from scipy import special as _sp
 
-from .special import beta_log_pdf
+from .special import _validate_shapes, beta_log_pdf
 from .streams import stream
 
 __all__ = [
@@ -89,9 +89,7 @@ def make_uniform():
 
 
 def make_beta(a, b):
-    a, b = float(a), float(b)
-    if a <= 0 or b <= 0:
-        raise ValueError("beta shapes must be positive")
+    a, b = map(float, _validate_shapes(a, b))
     return DistributionSpec(
         name=f"beta({a:g},{b:g})",
         parameters={"a": a, "b": b},
@@ -154,6 +152,8 @@ def _window_mixture(lo, hi, span, mass):
     draws and the cdf, so it is passed rather than recomputed as hi - lo.
     """
     inside_density = mass / span + (1.0 - mass)
+    # a full-weight window has no mass outside it: log1p(-1) would raise
+    outside_log_density = -math.inf if mass == 1.0 else math.log1p(-mass)
 
     def sampler(n, rng):
         base = rng.random(n)
@@ -163,7 +163,7 @@ def _window_mixture(lo, hi, span, mass):
     def log_density(x):
         x = np.asarray(x, dtype=float)
         inside = (x >= lo) & (x <= hi)
-        return np.where(inside, math.log(inside_density), math.log1p(-mass))
+        return np.where(inside, math.log(inside_density), outside_log_density)
 
     def cdf(x):
         x = np.clip(np.asarray(x, dtype=float), 0.0, 1.0)
@@ -268,27 +268,47 @@ def zoo_lookup(name):
 # ---------------------------------------------------------------------------
 # randomized scenarios
 
-SCENARIOS = (
-    "symmetric-heavy",
-    "symmetric-light",
-    "asymmetric-heavy",
-    "asymmetric-light",
-    "outliers",
-    "nearly-uniform",
-    "random-bump",
-    "random-gap",
-)
+
+def _beta_family(mu_draw, gamma_shape, condition, gamma_scale=0.5):
+    """draw(rng) of Beta(mu s, (1-mu) s) with mu = mu_draw(rng) and
+    s ~ Gamma(gamma_shape, gamma_scale), redrawn (mu first) until
+    condition(min(mu s, (1-mu) s)) holds."""
+
+    def draw(rng):
+        for _ in range(REJECTION_CAP):
+            mu = mu_draw(rng)
+            sigma = rng.gamma(gamma_shape, gamma_scale)
+            if condition(min(mu * sigma, (1.0 - mu) * sigma)):
+                spec = make_beta(mu * sigma, (1.0 - mu) * sigma)
+                spec.parameters.update({"mu": mu, "sigma": sigma})
+                return spec
+        raise RuntimeError(f"rejection sampling exceeded {REJECTION_CAP} iterations")
+
+    return draw
 
 
-def _draw_beta_family(rng, mu_draw, gamma_shape, condition, gamma_scale=0.5):
-    for _ in range(REJECTION_CAP):
-        mu = mu_draw(rng)
-        sigma = rng.gamma(gamma_shape, gamma_scale)
-        if condition(min(mu * sigma, (1.0 - mu) * sigma)):
-            spec = make_beta(mu * sigma, (1.0 - mu) * sigma)
-            spec.parameters.update({"mu": mu, "sigma": sigma})
-            return spec
-    raise RuntimeError(f"rejection sampling exceeded {REJECTION_CAP} iterations")
+def _draw_outliers(rng):
+    mix = rng.uniform(0.0, 0.1)
+    bound = rng.uniform(0.0, 0.01)
+    while bound == 0.0:  # measure-zero guard; outlier window must be nonempty
+        bound = rng.uniform(0.0, 0.01)
+    return make_outliers(mix, bound)
+
+
+# scenario -> draw(rng); call arguments are evaluated left to right, so each
+# draw's order is as written.  A scenario's position here is its code, and
+# so fixes its streams: append new scenarios, never reorder.
+_SCENARIO_DRAWS = {
+    "symmetric-heavy": _beta_family(lambda r: 0.5, 3.0, lambda lo: lo <= 1.0),
+    "symmetric-light": _beta_family(lambda r: 0.5, 5.0, lambda lo: lo > 1.0),
+    "asymmetric-heavy": _beta_family(lambda r: r.beta(2, 2), 3.0, lambda lo: lo <= 1.0),
+    "asymmetric-light": _beta_family(lambda r: r.beta(2, 2), 5.0, lambda lo: lo > 1.0),
+    "outliers": _draw_outliers,
+    "nearly-uniform": _beta_family(lambda r: r.beta(50, 50), 100.0, lambda lo: True, 1.0 / 50.0),
+    "random-bump": lambda rng: make_bump(rng.uniform(0.001, 0.999), 0.001, rng.uniform(0.0, 0.1)),
+    "random-gap": lambda rng: make_gap(rng.uniform(0.1, 0.9), rng.uniform(0.025, 0.1)),
+}
+SCENARIOS = tuple(_SCENARIO_DRAWS)
 
 
 def draw_scenario_distribution(scenario, rng):
@@ -297,31 +317,8 @@ def draw_scenario_distribution(scenario, rng):
     The returned spec's `parameters` records every realized parameter, so a
     draw can be reconstructed exactly.
     """
-    if scenario == "symmetric-heavy":
-        return _draw_beta_family(rng, lambda r: 0.5, 3.0, lambda lo: lo <= 1.0)
-    if scenario == "symmetric-light":
-        return _draw_beta_family(rng, lambda r: 0.5, 5.0, lambda lo: lo > 1.0)
-    if scenario == "asymmetric-heavy":
-        return _draw_beta_family(rng, lambda r: r.beta(2, 2), 3.0, lambda lo: lo <= 1.0)
-    if scenario == "asymmetric-light":
-        return _draw_beta_family(rng, lambda r: r.beta(2, 2), 5.0, lambda lo: lo > 1.0)
-    if scenario == "outliers":
-        mix = rng.uniform(0.0, 0.1)
-        bound = rng.uniform(0.0, 0.01)
-        while bound == 0.0:  # measure-zero guard; outlier window must be nonempty
-            bound = rng.uniform(0.0, 0.01)
-        return make_outliers(mix, bound)
-    if scenario == "nearly-uniform":
-        return _draw_beta_family(rng, lambda r: r.beta(50, 50), 100.0, lambda lo: True, 1.0 / 50.0)
-    if scenario == "random-bump":
-        center = rng.uniform(0.001, 0.999)
-        mass = rng.uniform(0.0, 0.1)
-        return make_bump(center, 0.001, mass)
-    if scenario == "random-gap":
-        center = rng.uniform(0.1, 0.9)
-        halfwidth = rng.uniform(0.025, 0.1)
-        return make_gap(center, halfwidth)
-    raise ValueError(f"unknown scenario {scenario!r}; choose from {SCENARIOS}")
+    scenario_code(scenario)  # refuses an unknown name
+    return _SCENARIO_DRAWS[scenario](rng)
 
 
 def scenario_code(scenario):

@@ -12,7 +12,6 @@ the minutes range; pass paper-scale counts explicitly to reproduce
 full-size experiments.
 """
 
-import json
 import logging
 from dataclasses import dataclass, field
 
@@ -177,14 +176,8 @@ def _power_reports(jobs, tests, alpha, replicates, seed, null_b, cache_dir, pair
         dist, n, scen_code, dist_index = job
         pairs, nulls = resolved[n]
         if "lrt" in tests:
-            if dist.log_density is None:
-                raise ValueError(f"lrt oracle needs a log-density; {dist.name!r} has none")
-            # keyed by the full-precision parameters: names keep 6 significant digits
-            label = json.dumps([dist.name, dist.parameters], sort_keys=True, default=repr)
             nulls = dict(nulls, lrt=build_empirical_null(
-                "lrt", n, null_b, seed, alt_log_density=dist.log_density, label=label,
-                cache_dir=cache_dir,
-            ))
+                "lrt", n, null_b, seed, alternative=dist, cache_dir=cache_dir))
         pvals = _pvalue_matrix(
             dist, tests, n, replicates, seed, scen_code, dist_index, pairs, nulls
         )

@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .special import beta_cdf, beta_inv_cdf
+from .streams import stream
 
 __all__ = ["PairSequence", "generate_pairs", "halton", "pair_count", "random_pairs"]
 
@@ -280,7 +281,7 @@ def random_pairs(n, seed):
     default), which logs one warning.
     """
     n = _sample_size(n)
-    rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(0xA17,)))
+    rng = stream(seed, 0xA17)
     return _assemble(
         n,
         _beta_index_map(n, *DEFAULT_WARP),

@@ -7,8 +7,13 @@ of parallelism and still see identical randomness:
   (scenario_code, distribution_index, 0)       parameter draws
   (scenario_code, distribution_index, 1 + r)   dataset of replicate r
   (r,)                                         empirical-null replicate r
+  (0xA17,)                                     random-pair source (random_pairs)
+  (0, 0, 0)                                    discrete-PIT draw of `pitos test`
 
 scenario_code 0 means a directly specified distribution (no scenario).
+`pitos sample` writes replicate 0's dataset, (0, 0, 1).  The random-pair
+path is also null replicate 2583's path, so under one seed the two share
+their uniforms.
 """
 
 import numpy as np

@@ -22,6 +22,12 @@ from pitos.classic import (
     lrt_statistic,
     nb_statistic,
 )
+from pitos.distributions import DistributionSpec, zoo_lookup
+
+
+def _alternative(name, log_density):
+    """An lrt alternative that is only a log-density; the null never samples it."""
+    return DistributionSpec(name=name, parameters={}, sampler=None, log_density=log_density)
 
 
 class TestStatisticsHandValues:
@@ -178,29 +184,34 @@ class TestEmpiricalNull:
         assert not caplog.records  # loaded from the file, not rebuilt
 
     def test_lrt_needs_density_and_label_separates_cache(self, cache_dir):
-        with pytest.raises(ValueError):
-            build_empirical_null("lrt", 10, B=50, seed=0, cache_dir=cache_dir)
-        flat = lambda x: np.zeros_like(np.asarray(x, dtype=float))
-        rising = lambda x: np.log(2.0 * np.asarray(x, dtype=float))
-        a = build_empirical_null("lrt", 10, B=50, seed=0, alt_log_density=flat,
-                                 label="flat", cache_dir=cache_dir)
-        b = build_empirical_null("lrt", 10, B=50, seed=0, alt_log_density=rising,
-                                 label="rising", cache_dir=cache_dir)
+        # the label is composed from the alternative's name and parameters
+        flat = _alternative("flat", lambda x: np.zeros_like(np.asarray(x, dtype=float)))
+        rising = _alternative("rising", lambda x: np.log(2.0 * np.asarray(x, dtype=float)))
+        a = build_empirical_null("lrt", 10, B=50, seed=0, alternative=flat, cache_dir=cache_dir)
+        b = build_empirical_null("lrt", 10, B=50, seed=0, alternative=rising, cache_dir=cache_dir)
         assert not np.array_equal(a.statistics, b.statistics)
+        assert len(list(cache_dir.iterdir())) == 2
 
-    def test_lrt_null_needs_a_label(self, cache_dir):
-        # without one, every density would share the (test, n, B, seed) file
-        flat = lambda x: np.zeros_like(np.asarray(x, dtype=float))
-        with pytest.raises(ValueError, match="label"):
-            build_empirical_null("lrt", 10, B=50, seed=0, alt_log_density=flat,
+    @pytest.mark.parametrize("alternative", [None, zoo_lookup("discrete-uniform-99")],
+                             ids=["none", "discrete"])
+    def test_lrt_null_needs_an_alternative_with_a_density(self, cache_dir, alternative):
+        # without one there is nothing to sum, and no key to file the null under
+        with pytest.raises(ValueError, match="^lrt oracle needs an alternative with a log-density"):
+            build_empirical_null("lrt", 10, B=50, seed=0, alternative=alternative,
+                                 cache_dir=cache_dir)
+        assert not cache_dir.exists()
+
+    def test_alternative_refused_for_a_classical_test(self, cache_dir):
+        with pytest.raises(ValueError, match="only meaningful for the lrt test"):
+            build_empirical_null("ks", 10, B=50, seed=0, alternative=zoo_lookup("uniform"),
                                  cache_dir=cache_dir)
         assert not cache_dir.exists()
 
     def test_nan_null_statistics_are_named_and_not_cached(self, cache_dir):
-        below_half_is_nan = lambda x: np.where(np.asarray(x) < 0.5, np.nan, 0.0)
+        below_half_is_nan = _alternative("nan", lambda x: np.where(np.asarray(x) < 0.5, np.nan, 0.0))
         with pytest.raises(ValueError, match=r"^lrt null at n=1: 22/50 statistics are NaN$"):
-            build_empirical_null("lrt", 1, B=50, seed=0, alt_log_density=below_half_is_nan,
-                                 label="nan", cache_dir=cache_dir)
+            build_empirical_null("lrt", 1, B=50, seed=0, alternative=below_half_is_nan,
+                                 cache_dir=cache_dir)
         assert not cache_dir.exists()
 
     def test_unknown_test_rejected(self, cache_dir):

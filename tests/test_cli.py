@@ -13,6 +13,8 @@ import pytest
 
 from pitos import cli
 from pitos.cli import build_parser, main, read_values
+from pitos.distributions import zoo_lookup
+from pitos.harness import replicate_dataset
 
 REPO_SRC = str(Path(__file__).resolve().parents[1] / "src")
 
@@ -184,6 +186,22 @@ class TestTabularSubcommands:
         assert f1.read_bytes() == f2.read_bytes()
         values = read_values(f1)
         assert len(values) == 100 and values.min() >= 0 and values.max() <= 1
+
+    def test_sample_writes_replicate_zero_dataset(self, capsys):
+        # the dataset replicate 0 of a directly named distribution sees
+        spec = zoo_lookup("beta(0.6,0.6)")
+        expected = "".join(f"{v!r}\n" for v in replicate_dataset(7, 0, 0, 0, spec, 20).tolist())
+        code, out, err = run_cli(
+            ["sample", "--dist", "beta(0.6,0.6)", "--n", "20", "--seed", "7"], capsys)
+        assert (code, out, err) == (0, expected, "")
+
+    @pytest.mark.parametrize("shapes", ["nan,1", "inf,1"])
+    def test_sample_rejects_non_finite_beta_shapes(self, tmp_path, capsys, shapes):
+        out_file = tmp_path / "values.txt"
+        code, out, err = run_cli(
+            ["sample", "--dist", f"beta({shapes})", "--n", "3", "--out", str(out_file)], capsys)
+        assert (code, out, err) == (2, "", "error: beta shapes must be finite\n")
+        assert not out_file.exists()
 
     def test_scenarios_csv(self, capsys):
         code, out, _ = run_cli(

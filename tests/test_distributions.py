@@ -10,10 +10,12 @@ import numpy as np
 import pytest
 from scipy import integrate, special
 
+from pitos.classic import lrt_statistic
 from pitos.distributions import (
     SCENARIOS,
     ScenarioSampler,
     draw_scenario_distribution,
+    make_bump,
     make_outliers,
     scenario_code,
     zoo_lookup,
@@ -123,6 +125,22 @@ class TestZoo:
         for bad in ("triangle", "beta(1.0)", "beta(a,b)", "bump(0.5,0.001)", ""):
             with pytest.raises(ValueError):
                 zoo_lookup(bad)
+
+    @pytest.mark.parametrize("name", ["beta(nan,1)", "beta(inf,1)"])
+    def test_non_finite_beta_shapes_rejected(self, name):
+        with pytest.raises(ValueError, match="^beta shapes must be finite$"):
+            zoo_lookup(name)
+
+    @pytest.mark.parametrize("spec, outside, inside", [
+        (make_bump(0.5, 0.1, 1.0), 0.2, 0.5),
+        (make_outliers(1.0, 0.3), 0.5, 0.2),
+    ], ids=["bump", "outliers"])
+    def test_full_weight_window(self, spec, outside, inside):
+        # no mass outside the window: log-density -inf there, finite inside
+        log_density = spec.log_density(np.array([outside, inside]))
+        assert log_density[0] == -math.inf and math.isfinite(log_density[1])
+        assert lrt_statistic([inside, outside], spec.log_density) == -math.inf
+        assert math.isfinite(lrt_statistic([inside], spec.log_density))
 
 
 class TestGammaParameterization:

@@ -90,14 +90,23 @@ class TestEstimatePower:
         estimate_power("beta(0.6,0.6)", "lrt", **kw)
         first = set(cache_dir.iterdir())
         estimate_power("beta(0.6000001,0.6)", "lrt", **kw)
-        added = set(cache_dir.iterdir()) - first
-        assert len(first) == 1 and len(added) == 1
+        (added,) = set(cache_dir.iterdir()) - first
+        assert len(first) == 1
         fresh = classic.build_empirical_null(
-            "lrt", 50, 500, 1, alt_log_density=zoo_lookup("beta(0.6000001,0.6)").log_density,
-            label="fresh", cache_dir=tmp_path / "fresh",
+            "lrt", 50, 500, 1, alternative=zoo_lookup("beta(0.6000001,0.6)"),
+            cache_dir=tmp_path / "fresh",
         )
-        with np.load(added.pop()) as payload:
+        assert [p.name for p in (tmp_path / "fresh").iterdir()] == [added.name]
+        with np.load(added) as payload:
             np.testing.assert_array_equal(payload["statistics"], fresh.statistics)
+
+    def test_lrt_null_file_name_is_frozen(self, cache_dir):
+        # the digest of json.dumps([name, parameters]): a changed key would
+        # orphan every lrt null already on disk
+        estimate_power("gap(0.5,0.05)", ("lrt", "ks"), 20, replicates=50, seed=1, null_b=300,
+                       cache_dir=cache_dir)
+        assert sorted(p.name for p in cache_dir.iterdir()) == [
+            "ks_n20_B300_s1.npz", "lrt_n20_B300_s1_734761759f47b732.npz"]
 
 
 class TestRowBlocks:
