@@ -18,7 +18,7 @@ from typing import NamedTuple
 import numpy as np
 from scipy import special as _sp
 
-from .pairs import PairSequence, generate_pairs
+from .pairs import PASS_SIZE, PairSequence, generate_pairs
 
 __all__ = [
     "OrderedSample",
@@ -130,11 +130,11 @@ def conditional_os_cdf(n, i, j, x, y):
 
 
 # The combination sums per-pair terms in fixed blocks of 2^20, which fixes the
-# summation order; u is elementwise, so the kernel may run in smaller chunks
-# that keep its temporaries cache resident without changing any bit.  Small
-# chunks also keep what a pool thread's malloc arena retains small.
+# summation order; u is elementwise, so the kernel runs in passes of
+# PASS_SIZE pairs that keep its temporaries cache resident without changing
+# any bit.  Small passes also keep what a pool thread's malloc arena retains
+# small.
 _BLOCK = 1 << 20
-_KERNEL_BLOCK = 1 << 16
 
 
 def _available_cores():
@@ -160,8 +160,8 @@ def _conditional_u_block(sorted_x, i_idx, j_idx, n, out):
     and the denominator of the ratio.  A zero denominator (x_(i) = 1 with
     i < j, x_(i) = 0 with i > j) pins the conditional mass, so u = 1.
     """
-    for lo in range(0, len(out), _KERNEL_BLOCK):
-        hi = min(lo + _KERNEL_BLOCK, len(out))
+    for lo in range(0, len(out), PASS_SIZE):
+        hi = min(lo + PASS_SIZE, len(out))
         i, j = i_idx[lo:hi], j_idx[lo:hi]
         xi = sorted_x[i - 1]
         below = i < j

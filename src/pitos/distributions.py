@@ -240,7 +240,8 @@ def zoo_lookup(name):
     """Distribution spec by name.
 
     Accepts: uniform, beta(a,b), phi-laplace, discrete-uniform-99,
-    bump(center,width,mass), gap(center,halfwidth).
+    bump(center,width,mass), gap(center,halfwidth), outliers(mix,bound).
+    Every name a spec prints parses back to a spec of that name.
     """
     key = name.strip().lower()
     if key == "uniform":
@@ -256,7 +257,12 @@ def zoo_lookup(name):
             args = [float(v) for v in raw.split(",")] if raw.strip() else []
         except ValueError:
             raise ValueError(f"could not parse parameters in {name!r}") from None
-        makers = {"beta": (make_beta, 2), "bump": (make_bump, 3), "gap": (make_gap, 2)}
+        makers = {
+            "beta": (make_beta, 2),
+            "bump": (make_bump, 3),
+            "gap": (make_gap, 2),
+            "outliers": (make_outliers, 2),
+        }
         if head in makers:
             maker, arity = makers[head]
             if len(args) != arity:

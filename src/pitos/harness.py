@@ -290,18 +290,12 @@ def scenario_study(
 def _fractional_ranks(power_row):
     """Indicator matrix (test, rank position); k-way power ties spread 1/k
     over the k positions they span, so rows always sum to 1."""
-    t = len(power_row)
-    out = np.zeros((t, t))
-    order = np.argsort(-power_row, kind="stable")
-    pos = 0
-    while pos < t:
-        end = pos
-        while end + 1 < t and power_row[order[end + 1]] == power_row[order[pos]]:
-            end += 1
-        weight = 1.0 / (end - pos + 1)
-        for member in order[pos : end + 1]:
-            out[member, pos : end + 1] = weight
-        pos = end + 1
+    out = np.zeros((len(power_row), len(power_row)))
+    # groups of equal power, most powerful first, and the position each starts at
+    _, group, size = np.unique(-power_row, return_inverse=True, return_counts=True)
+    start = np.cumsum(size) - size
+    for test, g in enumerate(group):
+        out[test, start[g] : start[g] + size[g]] = 1.0 / size[g]
     return out
 
 

@@ -20,7 +20,9 @@ __all__ = ["PairSequence", "generate_pairs", "halton", "pair_count", "random_pai
 
 log = logging.getLogger(__name__)
 
-_BLOCK = 1 << 20  # block length for the uniforms, warp and discretization
+# Points per pass: uniforms, warp lookup and index write share one pass whose
+# temporaries stay in cache.  The u kernel in `core` sub-blocks by it too.
+PASS_SIZE = 1 << 16
 _TABLE_SIZE = 1 << 16  # digit-reversal table entries: 16 digits in base 2, 10 in base 3
 
 # A Beta-warped point u maps to the index 1 + #{t : F(t/n) < u}; a point this
@@ -28,7 +30,6 @@ _TABLE_SIZE = 1 << 16  # digit-reversal table entries: 16 digits in base 2, 10 i
 # residual bound of beta_inv_cdf, so the two paths agree away from edges).
 _EDGE_TOL = 1e-11
 _GUIDE_PER_INDEX = 4  # guide-table buckets per index
-_LOOKUP_BLOCK = 1 << 16  # points per lookup pass; keeps its temporaries in cache
 
 DEFAULT_WARP = (0.7, 0.7)
 
@@ -66,17 +67,19 @@ def _reversal_table(base, digits):
     return rev
 
 
-def _radical_inverse_fill(out, first_index, base, ndigits, work):
+def _radical_inverse_fill(out, first_index, base):
     """Fill `out` with radical inverses of first_index..first_index+len-1.
 
     Digits are reversed in chunks through a lookup table (16 per pass in
     base 2, 10 in base 3), which builds the same integer numerator as one
-    digit per pass; it is divided by base**ndigits once.
+    digit per pass; it is divided by base**ndigits once, ndigits being the
+    digit count of the largest index.  More digits would give the same
+    double: trailing zero digits scale the numerator and the divisor alike,
+    and both stay exact below 2^53.
     """
-    c = len(out)
-    idx, num, dig, rev = (buf[:c] for buf in work)
-    idx[:] = np.arange(first_index, first_index + c, dtype=np.int64)
-    num[:] = 0
+    idx = np.arange(first_index, first_index + len(out), dtype=np.int64)
+    num, dig, rev = np.zeros_like(idx), np.empty_like(idx), np.empty_like(idx)
+    ndigits = _digit_count(first_index + len(out) - 1, base)
     per_pass = 1
     while base ** (per_pass + 1) <= _TABLE_SIZE:
         per_pass += 1
@@ -91,12 +94,12 @@ def _radical_inverse_fill(out, first_index, base, ndigits, work):
     np.divide(num, float(base**ndigits), out=out)
 
 
-def _digit_count(count, base):
-    # trailing zero digits scale num and denom alike, so rounding up is safe
+def _digit_count(index, base):
+    """Number of base-`base` digits of the positive integer `index`."""
     ndigits = 1
-    while base ** (ndigits + 1) <= count:
+    while base**ndigits <= index:
         ndigits += 1
-    return ndigits + 1
+    return ndigits
 
 
 def _sample_size(n):
@@ -140,10 +143,6 @@ class PairSequence:
     def m(self):
         return len(self.i)
 
-    @property
-    def is_default(self):
-        return self.warp == DEFAULT_WARP
-
     def __len__(self):
         return len(self.i)
 
@@ -161,15 +160,9 @@ class PairSequence:
         return self._dedup
 
 
-def _halton_source(k):
+def _halton_points(out, column, lo):
     """Points lo+1.. of the 2-D Halton sequence: column 0 in base 2, column 1 in base 3."""
-    work = tuple(np.empty(min(k, _BLOCK), dtype=np.int64) for _ in range(4))
-
-    def fill(out, column, lo):
-        base = column + 2
-        _radical_inverse_fill(out, lo + 1, base, _digit_count(k, base), work)
-
-    return fill
+    _radical_inverse_fill(out, lo + 1, column + 2)
 
 
 def _beta_index_map(n, a, b):
@@ -208,20 +201,17 @@ def _beta_index_map(n, a, b):
             x = np.asarray(beta_inv_cdf(u[near], a, b), dtype=float)
             out[near] = np.maximum(np.ceil(x * n), 1)
 
-    def fill(u, out):
-        for lo in range(0, len(u), _LOOKUP_BLOCK):
-            lookup(u[lo : lo + _LOOKUP_BLOCK], out[lo : lo + _LOOKUP_BLOCK])
-
-    return fill
+    return lookup
 
 
-def _assemble(n, index_map, warp_tag, uniforms=None):
+def _assemble(n, index_map, warp_tag, uniforms=_halton_points):
     """Pair sequence from a source of uniforms and an index map.
 
     `uniforms(out, column, lo)` fills `out` with points lo.. of column i (0)
     or j (1); the default is the 2-D Halton sequence.  `index_map(u, out)`
     writes the index in 1..n of each point.  Column i is filled before
-    column j, in blocks, so peak memory stays near the output arrays.
+    column j, PASS_SIZE points at a time, so peak memory stays near the
+    output arrays.
     """
     m = pair_count(n)
     k = m - n
@@ -230,18 +220,13 @@ def _assemble(n, index_map, warp_tag, uniforms=None):
             "non-default pair sequence: the 1.15 correction was calibrated "
             "for the default Beta(0.7,0.7) warp"
         )
-    # the outputs first, so the block buffers freed on return sit above them
     i = np.empty(m, dtype=np.int64)
     j = np.empty(m, dtype=np.int64)
-    if uniforms is None:
-        uniforms = _halton_source(k)
-    u = np.empty(min(k, _BLOCK))
     for column, idx in enumerate((i, j)):
-        for lo in range(0, k, _BLOCK):
-            hi = min(lo + _BLOCK, k)
-            u_blk = u[: hi - lo]
-            uniforms(u_blk, column, lo)
-            index_map(u_blk, idx[lo:hi])
+        for lo in range(0, k, PASS_SIZE):
+            u = np.empty(min(PASS_SIZE, k - lo))
+            uniforms(u, column, lo)
+            index_map(u, idx[lo : lo + len(u)])
     i[k:] = np.arange(1, n + 1, dtype=np.int64)
     j[k:] = i[k:]
     return PairSequence(n=n, i=i, j=j, warp=warp_tag)

@@ -76,6 +76,13 @@ def ecdf_sup_distance(values):
     )
 
 
+def pytest_addoption(parser):
+    parser.addoption(
+        "--calibration-sweep", action="store_true",
+        help="also run the slow null-calibration sweep at n in {10, 300, 1000}",
+    )
+
+
 @pytest.fixture()
 def cache_dir(tmp_path):
     return tmp_path / "null-cache"

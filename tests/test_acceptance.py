@@ -18,6 +18,10 @@ Criteria, in order:
  8. Per-pair null uniformity at n = 100.
  9. O(n log n) end-to-end cost: n = 1e5 at most 15x the n = 1e4 wall time.
 10. Byte-identical CLI outputs across reruns and thread counts.
+
+Opt-in, outside the default run: criteria 1 and 2's bounds on the corrected
+null p-values at n in {10, 300, 1000} (`pytest tests/test_acceptance.py
+--calibration-sweep -k sweep -s`, about 85 s on 2 cores).
 """
 
 import json
@@ -40,6 +44,7 @@ from conftest import beta_cdf_quadrature, ecdf_sup_distance, radical_inverse_fra
 SEED = 20260808
 NULL_B = 20_000
 FIVE_TESTS = ("pitos", "ad", "nb", "ks", "cvm")
+TYPE_ONE_BAND = (0.035, 0.065)  # rejection rate at alpha 0.05
 
 # Rejection rate of the order-statistic test on discrete-uniform-99 at
 # n = 500, 2,000 replicates, seed above; frozen from the pilot run.
@@ -73,7 +78,7 @@ def test_criterion_01_type_one_error_control(acc_cache):
         for test in FIVE_TESTS:
             rates[(test, n)] = rep.rejection_rate[test]
     elapsed = time.perf_counter() - start
-    ok = all(0.035 <= r <= 0.065 for r in rates.values()) and elapsed < 600.0
+    ok = all(TYPE_ONE_BAND[0] <= r <= TYPE_ONE_BAND[1] for r in rates.values()) and elapsed < 600.0
     detail = (
         ", ".join(f"{t}@{n}={r:.4f}" for (t, n), r in rates.items())
         + f"; {elapsed:.0f}s"
@@ -81,8 +86,9 @@ def test_criterion_01_type_one_error_control(acc_cache):
     assert report(1, "type I error in [0.035, 0.065] at alpha 0.05", ok, detail)
 
 
-def test_criterion_02_null_pvalue_cdf_shape(null_pvalues_n30):
-    _, p_star = null_pvalues_n30
+def _null_cdf_shape(p_star):
+    """(ok, detail): criterion 2's bounds on the empirical CDF of corrected
+    null p-values."""
     p_star = np.sort(p_star)
 
     def cdf(t):
@@ -96,8 +102,24 @@ def test_criterion_02_null_pvalue_cdf_shape(null_pvalues_n30):
         "near: " + ", ".join(f"F({t})={v:.4f}" for t, v in near.items())
         + " | upper: " + ", ".join(f"F({t})={v:.3f}" for t, v in upper.items())
     )
+    return ok_near and ok_upper, detail
+
+
+def test_criterion_02_null_pvalue_cdf_shape(null_pvalues_n30):
+    ok, detail = _null_cdf_shape(null_pvalues_n30[1])
     assert report(2, "corrected null CDF near-uniform below 0.05, conservative above 0.2",
-                  ok_near and ok_upper, detail)
+                  ok, detail)
+
+
+@pytest.mark.parametrize("n", [10, 300, 1000])
+def test_criteria_01_02_calibration_sweep(n, request):
+    if not request.config.getoption("--calibration-sweep"):
+        pytest.skip("slow; run with --calibration-sweep")
+    _, p_star = null_pitos_pvalues(n=n, replicates=2_000, seed=SEED)
+    rate = float(np.mean(p_star <= 0.05))
+    ok_shape, detail = _null_cdf_shape(p_star)
+    ok = TYPE_ONE_BAND[0] <= rate <= TYPE_ONE_BAND[1] and ok_shape
+    assert report(1, f"sweep n={n}: type I {rate:.4f} in band, criterion 2 shape", ok, detail)
 
 
 def test_criterion_03_correction_ordering(null_pvalues_n30):

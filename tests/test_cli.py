@@ -1,6 +1,7 @@
 """Command-line behavior: happy paths, diagnostics with line numbers,
 deterministic outputs, and the sample-then-test round trip."""
 
+import csv
 import hashlib
 import json
 import math
@@ -203,13 +204,19 @@ class TestTabularSubcommands:
         assert (code, out, err) == (2, "", "error: beta shapes must be finite\n")
         assert not out_file.exists()
 
+    def test_sample_accepts_a_printed_outliers_name(self, capsys):
+        code, out, _ = run_cli(["scenarios", "--name", "outliers", "--count", "1"], capsys)
+        name = next(csv.DictReader(out.splitlines()))["distribution"]
+        assert code == 0 and name.startswith("outliers(")
+        code, out, err = run_cli(["sample", "--dist", name, "--n", "5"], capsys)
+        assert (code, err, len(out.splitlines())) == (0, "", 5)
+
     def test_scenarios_csv(self, capsys):
         code, out, _ = run_cli(
             ["scenarios", "--name", "random-gap", "--count", "3", "--seed", "11"], capsys
         )
         assert code == 0
-        import csv as _csv
-        rows = list(_csv.reader(out.splitlines()))
+        rows = list(csv.reader(out.splitlines()))
         assert rows[0] == ["index", "scenario", "distribution", "parameters"]
         assert len(rows) == 4
         params = json.loads(rows[1][3])

@@ -275,7 +275,7 @@ class TestKernelMatchesScalar:
         i = rng.integers(1, 501, 5000)
         j = rng.integers(1, 501, 5000)
         whole = core._conditional_u_block(x, i, j, 500, np.empty(5000))
-        monkeypatch.setattr(core, "_KERNEL_BLOCK", 77)
+        monkeypatch.setattr(core, "PASS_SIZE", 77)
         chunked = core._conditional_u_block(x, i, j, 500, np.empty(5000))
         assert whole.tobytes() == chunked.tobytes()
 

@@ -199,6 +199,11 @@ class TestScenarios:
         assert s.draw(2).parameters == many[2].parameters
         assert scenario_code("random-gap") == SCENARIOS.index("random-gap") + 1
 
+    @pytest.mark.parametrize("scenario", SCENARIOS)
+    def test_printed_names_parse_back(self, scenario):
+        for spec in ScenarioSampler(scenario, seed=13).draw_many(20):
+            assert zoo_lookup(spec.name).name == spec.name
+
     def test_unknown_scenario(self):
         with pytest.raises(ValueError):
             draw_scenario_distribution("weird", np.random.default_rng(0))

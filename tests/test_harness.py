@@ -245,6 +245,13 @@ class TestScenarioStudy:
         np.testing.assert_allclose(frac[0], [0.5, 0.5, 0.0])
         np.testing.assert_allclose(frac[1], [0.5, 0.5, 0.0])
         np.testing.assert_allclose(frac[2], [0.0, 0.0, 1.0])
+        # a three-way tie below the top test spans positions 2..4
+        frac = _fractional_ranks(np.array([0.2, 0.9, 0.2, 0.2]))
+        np.testing.assert_allclose(frac[1], [1.0, 0.0, 0.0, 0.0])
+        for test in (0, 2, 3):
+            np.testing.assert_allclose(frac[test], [0.0, 1 / 3, 1 / 3, 1 / 3])
+        # all equal: every test spreads evenly over every position
+        np.testing.assert_allclose(_fractional_ranks(np.full(3, 0.5)), np.full((3, 3), 1 / 3))
 
 
 class TestNullPvalueCdf:

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from pitos import pairs as pairs_mod
-from pitos.pairs import PairSequence, generate_pairs, halton, pair_count, random_pairs
+from pitos.pairs import DEFAULT_WARP, PairSequence, generate_pairs, halton, pair_count, random_pairs
 from pitos.special import beta_inv_cdf
 
 from conftest import beta_inv_cdf_bisection, radical_inverse_fraction
@@ -105,7 +105,7 @@ class TestPairSequence:
     def test_custom_warp_changes_sequence(self):
         default = generate_pairs(50)
         warped = generate_pairs(50, warp=(2.0, 2.0))
-        assert not warped.is_default
+        assert warped.warp != DEFAULT_WARP
         assert not np.array_equal(default.i, warped.i)
 
     def test_memo_keeps_the_two_latest_sequences(self):
@@ -139,7 +139,7 @@ class TestRandomPairSource:
     def test_shape_matches_default_construction(self):
         seq = random_pairs(40, seed=3)
         assert seq.m == pair_count(40)
-        assert not seq.is_default
+        assert seq.warp != DEFAULT_WARP
         diag = np.arange(1, 41)
         np.testing.assert_array_equal(seq.i[-40:], diag)
         np.testing.assert_array_equal(seq.j[-40:], diag)
@@ -254,20 +254,20 @@ class TestTableDrivenRadicalInverse:
 
     @pytest.mark.parametrize("base", [2, 3])
     def test_digit_counts_and_chunk_remainders(self, base):
-        # every digit count from the minimum up covers each remainder chunk
-        rng = np.random.default_rng(base)
-        first = 1 + int(rng.integers(0, 5000))
+        # each range straddles the first index with `ndigits` digits, so its
+        # shorter indices carry trailing zero digits; digit counts up to 30
+        # (base 2) and 19 (base 3) cover each remainder chunk of the table
         count = 500
-        for ndigits in range(pairs_mod._digit_count(first + count, base), 31 if base == 2 else 20):
+        for ndigits in range(1, 31 if base == 2 else 20):
+            first = max(1, base ** (ndigits - 1) - count // 2)
             out = np.empty(count)
-            work = tuple(np.empty(count, dtype=np.int64) for _ in range(4))
-            pairs_mod._radical_inverse_fill(out, first, base, ndigits, work)
+            pairs_mod._radical_inverse_fill(out, first, base)
             assert out.tolist() == [halton(t, base) for t in range(first, first + count)]
 
     def test_block_boundaries_and_short_last_block(self):
-        block = pairs_mod._BLOCK
+        block = pairs_mod.PASS_SIZE
         k = block + 777
-        fill = pairs_mod._halton_source(k)
+        fill = pairs_mod._halton_points
         for column, base in enumerate((2, 3)):
             head = np.empty(block)
             fill(head, column, 0)
