@@ -434,3 +434,7 @@ def main(argv=None):
 def entrypoint():
     logging.basicConfig(level=logging.WARNING, stream=sys.stderr)
     raise SystemExit(main())
+
+
+if __name__ == "__main__":
+    entrypoint()

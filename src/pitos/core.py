@@ -37,11 +37,6 @@ CLAMP_EPS = 1e-15
 # default pair sequence.
 CORRECTION = 1.15
 
-# Deduplicate repeated pairs only while the sequence is short enough for
-# duplicates to matter; past this, pairs are essentially all distinct and
-# the dedup sort costs more than it saves.
-_DEDUP_LIMIT = 1_000_000
-
 
 class OrderedSample:
     """A validated data vector on [0, 1] together with its order statistics.
@@ -130,11 +125,18 @@ def conditional_os_cdf(n, i, j, x, y):
 
 
 # The combination sums per-pair terms in fixed blocks of 2^20, which fixes the
-# summation order; u is elementwise, so the kernel runs in passes of
+# summation order; the kernel is elementwise, so it runs in passes of
 # PASS_SIZE pairs that keep its temporaries cache resident without changing
 # any bit.  Small passes also keep what a pool thread's malloc arena retains
 # small.
 _BLOCK = 1 << 20
+
+# At most this many pairs (n <= 943), without detail: gather the terms of the
+# distinct pairs.  Best of interleaved runs on 2 cores, gather vs block loop:
+# dedup cached (the harness), n = 30 0.087 vs 0.114 ms, n = 943 23.4 vs 23.9,
+# n = 2000 68.4 vs 66.9; cold, n = 943 27.9 vs 24.3 ms, n = 3000 135 vs 119.
+# Must stay <= _BLOCK: the gather regime is exactly one summation block.
+_DEDUP_LIMIT = 1 << 16
 
 
 def _available_cores():
@@ -152,16 +154,17 @@ def thread_map(fn, items, threads):
         return list(pool.map(fn, items))
 
 
-def _conditional_u_block(sorted_x, i_idx, j_idx, n, out):
-    """u values for index pair arrays against one sorted sample, into `out`.
+def _pair_terms(sorted_x, i_idx, j_idx, n, terms, u=None):
+    """Cauchy-combination terms of index pair arrays against one sorted sample.
 
-    Every pair is one Beta CDF G(ratio, a, b) of a ratio of order statistics:
-    the cases of conditional_os_cdf differ only in the shapes, the offset
-    and the denominator of the ratio.  A zero denominator (x_(i) = 1 with
-    i < j, x_(i) = 0 with i > j) pins the conditional mass, so u = 1.
+    Per pair, u is one Beta CDF G(ratio, a, b) of a ratio of order statistics:
+    the cases of conditional_os_cdf differ only in the shapes, the offset and
+    the denominator of the ratio.  A zero denominator (x_(i) = 1 with i < j,
+    x_(i) = 0 with i > j) pins the conditional mass, so u = 1.  The term of
+    p = 2 min(u, 1 - u) is tan(pi (1 - p - 1/2)); `u`, if given, gets u.
     """
-    for lo in range(0, len(out), PASS_SIZE):
-        hi = min(lo + PASS_SIZE, len(out))
+    for lo in range(0, len(terms), PASS_SIZE):
+        hi = min(lo + PASS_SIZE, len(terms))
         i, j = i_idx[lo:hi], j_idx[lo:hi]
         xi = sorted_x[i - 1]
         below = i < j
@@ -176,21 +179,18 @@ def _conditional_u_block(sorted_x, i_idx, j_idx, n, out):
         np.divide(ratio, den, out=ratio)
         np.clip(ratio, 0.0, 1.0, out=ratio)
         ratio[pinned] = 1.0
-        _sp.betainc(a, b, ratio, out=out[lo:hi])
-    return out
-
-
-def _combination_terms(u_block, out):
-    """Cauchy-quantile terms tan(pi (1 - p - 1/2)), p = 2 min(u, 1 - u), in `out`."""
-    np.subtract(1.0, u_block, out=out)
-    np.minimum(u_block, out, out=out)
-    np.multiply(out, 2.0, out=out)
-    np.subtract(1.0, out, out=out)
-    np.clip(out, CLAMP_EPS, 1.0 - CLAMP_EPS, out=out)
-    np.subtract(out, 0.5, out=out)
-    np.multiply(out, np.pi, out=out)
-    np.tan(out, out=out)
-    return out
+        pass_u = ratio if u is None else u[lo:hi]
+        _sp.betainc(a, b, ratio, out=pass_u)
+        out = terms[lo:hi]
+        np.subtract(1.0, pass_u, out=out)
+        np.minimum(pass_u, out, out=out)
+        np.multiply(out, 2.0, out=out)
+        np.subtract(1.0, out, out=out)
+        np.clip(out, CLAMP_EPS, 1.0 - CLAMP_EPS, out=out)
+        np.subtract(out, 0.5, out=out)
+        np.multiply(out, np.pi, out=out)
+        np.tan(out, out=out)
+    return terms
 
 
 def corrected_p_value(p):
@@ -222,15 +222,14 @@ def pitos_p_value(sample, pairs=None, *, detail=False):
 
     Notes
     -----
-    The sequence is walked in fixed blocks of 2^20 pairs.  Each block's u
-    values are gathered from the u of the distinct pairs when the sequence
-    is short enough for repeats to occur (m <= 1e6, always one block), and
-    evaluated straight from the kernel otherwise; either way u is the same
-    elementwise value.  Sequences of more than one block are evaluated on a
-    thread pool with one worker per available core (betainc releases the
-    GIL).  The per-pair terms are summed pairwise within a block and the
-    block sums left to right in block order, so results are bitwise the same
-    run to run and for any core count.
+    Each pair's u, p and Cauchy term come from one kernel pass.  Sequences of
+    m <= 2^16 pairs without detail gather the terms of their distinct pairs
+    (PairSequence.dedup, cached on the sequence) into one summation block;
+    the rest walk fixed blocks of 2^20 pairs, on a pool of one thread per
+    available core when there is more than one block (betainc releases the
+    GIL).  Terms are summed pairwise within a block and the block sums left
+    to right, so results are bitwise the same run to run, in either regime
+    and for any core count.
     """
     if not isinstance(sample, OrderedSample):
         sample = OrderedSample(sample)
@@ -244,35 +243,30 @@ def pitos_p_value(sample, pairs=None, *, detail=False):
 
     sorted_x = sample.order_statistics
     m = pairs.m
-    dedup = m <= _DEDUP_LIMIT
-    if dedup:
-        ui, uj, inv = pairs.dedup()
-        u_unique = _conditional_u_block(sorted_x, ui, uj, n, np.empty(len(ui)))
     u_all = np.empty(m) if detail else None
-    starts = range(0, m, _BLOCK)
-    # one block (every m <= 2^20, so every dedup sequence) runs inline
-    workers = min(len(starts), _available_cores())
-    # One (u, terms) buffer pair per worker, allocated here: memory a pool
-    # thread allocates stays with that thread's malloc arena after it exits.
-    size = min(m, _BLOCK)
-    spare = [(None if detail else np.empty(size), np.empty(size)) for _ in range(workers)]
+    if m <= _DEDUP_LIMIT and not detail:
+        ui, uj, inv = pairs.dedup()
+        block_totals = [float(_pair_terms(sorted_x, ui, uj, n, np.empty(len(ui)))[inv].sum())]
+    else:
+        starts = range(0, m, _BLOCK)
+        workers = min(len(starts), _available_cores())  # one block runs inline
+        # One terms buffer per worker, allocated here: memory a pool thread
+        # allocates stays with that thread's malloc arena after it exits.
+        spare = [np.empty(min(m, _BLOCK)) for _ in range(workers)]
 
-    def block_sum(lo):
-        hi = min(lo + _BLOCK, m)
-        buffers = spare.pop()  # never empty: at most `workers` blocks run at once
-        u_buf, terms = buffers
-        u = u_all[lo:hi] if detail else u_buf[: hi - lo]
-        if dedup:
-            np.take(u_unique, inv[lo:hi], out=u)
-        else:
-            _conditional_u_block(sorted_x, pairs.i[lo:hi], pairs.j[lo:hi], n, u)
-        total = float(_combination_terms(u, terms[: hi - lo]).sum())
-        spare.append(buffers)
-        return total
+        def block_sum(lo):
+            hi = min(lo + _BLOCK, m)
+            terms = spare.pop()  # never empty: at most `workers` blocks run at once
+            u = u_all[lo:hi] if detail else None
+            total = _pair_terms(sorted_x, pairs.i[lo:hi], pairs.j[lo:hi], n, terms[: hi - lo], u).sum()
+            spare.append(terms)
+            return float(total)
+
+        block_totals = thread_map(block_sum, starts, workers)
 
     total = 0.0
     # left to right in block order, whatever ran them
-    for block_total in thread_map(block_sum, starts, workers):
+    for block_total in block_totals:
         total += block_total
     statistic = total / m
 

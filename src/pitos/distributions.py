@@ -61,8 +61,8 @@ class DistributionSpec:
     """Closed description of a sampling distribution on [0, 1].
 
     sampler(n, rng) returns n draws; log_density and cdf are vectorized and
-    may be None where undefined (no density for discrete members).  cdf_left
-    is the left limit, distinct from cdf only for discrete members.
+    may be None where undefined (no density for discrete members).  cdf_left,
+    the left limit, is set only for discrete members (is_discrete).
     """
 
     name: str
@@ -71,8 +71,11 @@ class DistributionSpec:
     log_density: Callable | None = field(default=None, repr=False)
     cdf: Callable | None = field(default=None, repr=False)
     cdf_left: Callable | None = field(default=None, repr=False)
-    is_discrete: bool = False
     breakpoints: tuple = ()  # interior density discontinuities, for quadrature
+
+    @property
+    def is_discrete(self):
+        return self.cdf_left is not None
 
     def sample(self, n, rng):
         return self.sampler(n, rng)
@@ -141,7 +144,6 @@ def make_discrete_uniform_99():
         sampler=lambda n, rng: rng.integers(1, 100, size=n) / 100.0,
         cdf=cdf,
         cdf_left=cdf_left,
-        is_discrete=True,
     )
 
 

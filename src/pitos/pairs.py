@@ -150,7 +150,7 @@ class PairSequence:
         return zip(self.i.tolist(), self.j.tolist())
 
     def dedup(self):
-        """(unique_i, unique_j, inverse) with inverse mapping sequence order back."""
+        """(unique_i, unique_j, inverse), cached; pitos_p_value gathers by it below 2^16 pairs."""
         if self._dedup is None:
             code = self.i * np.int64(self.n + 1) + self.j
             ucode, inv = np.unique(code, return_inverse=True)

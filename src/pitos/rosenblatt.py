@@ -95,10 +95,9 @@ def randomized_pit(values, spec, u=None, rng=None):
     if spec.cdf is None:
         raise ValueError(f"distribution {spec.name!r} has no CDF")
     hi = np.asarray(spec.cdf(values), dtype=float)
-    cdf_left = spec.cdf_left
-    if cdf_left is None or cdf_left is spec.cdf:
+    if not spec.is_discrete or spec.cdf_left is spec.cdf:
         return hi
-    lo = np.asarray(cdf_left(values), dtype=float)
+    lo = np.asarray(spec.cdf_left(values), dtype=float)
     if u is None:
         if rng is None:
             raise ValueError("discrete PIT needs u or an rng to draw it from")

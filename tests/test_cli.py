@@ -515,3 +515,13 @@ class TestConsoleScript:
         )
         assert proc.returncode == 0
         assert json.loads(proc.stdout)["test"] == "PITOS"
+
+    @pytest.mark.parametrize("module", ["pitos", "pitos.cli"])
+    def test_python_dash_m(self, tmp_path, module):
+        proc = subprocess.run(
+            [sys.executable, "-m", module, "--help"],
+            capture_output=True, text=True, cwd=tmp_path,
+            env={"PYTHONPATH": REPO_SRC, "PATH": "/usr/bin:/bin"},
+        )
+        assert proc.returncode == 0
+        assert proc.stdout.startswith("usage: pitos")

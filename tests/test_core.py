@@ -10,7 +10,7 @@ import pytest
 
 from pitos import core
 from pitos.core import OrderedSample, conditional_os_cdf, pitos_p_value
-from pitos.pairs import PairSequence, generate_pairs, random_pairs
+from pitos.pairs import PairSequence, generate_pairs, pair_count, random_pairs
 
 from conftest import ecdf_sup_distance
 
@@ -98,16 +98,44 @@ class TestPitosPValue:
         assert a.p_value == b.p_value  # mean of two equal terms is the term
 
     def test_dedup_is_bitwise_neutral(self, monkeypatch):
-        # gathering u from the distinct pairs and evaluating every pair give the same bits
-        data = np.random.default_rng(13).random(150)
-        pairs = generate_pairs(150)
-        gathered = pitos_p_value(data, pairs, detail=True)
-        monkeypatch.setattr(core, "_DEDUP_LIMIT", 0)
-        direct = pitos_p_value(data, pairs, detail=True)
-        assert gathered.statistic.hex() == direct.statistic.hex()
-        assert gathered.p_value.hex() == direct.p_value.hex()
-        assert gathered.detail.u.tobytes() == direct.detail.u.tobytes()
-        assert gathered.detail.p.tobytes() == direct.detail.p.tobytes()
+        # gathering the distinct pairs' terms and the block loop give the same
+        # bits, on both sides of the 2^16-pair limit (n = 943 | 944)
+        for n in (1, 2, 30, 100, 943, 944, 3000):
+            data = np.random.default_rng(13 + n).random(n)
+            pairs = generate_pairs(n)
+            monkeypatch.setattr(core, "_DEDUP_LIMIT", 1 << 20)
+            gathered = pitos_p_value(data, pairs)
+            monkeypatch.setattr(core, "_DEDUP_LIMIT", 0)
+            looped = pitos_p_value(data, pairs)
+            assert gathered.statistic.hex() == looped.statistic.hex(), n
+            assert gathered.p_value.hex() == looped.p_value.hex(), n
+
+    def test_detail_and_bare_verdicts_share_bits(self):
+        # detail always takes the block loop; below the limit a bare verdict gathers
+        for n in (1, 30, 943, 944):
+            data = np.random.default_rng(41 + n).random(n)
+            bare, rich = pitos_p_value(data), pitos_p_value(data, detail=True)
+            assert bare.statistic.hex() == rich.statistic.hex(), n
+            assert bare.p_uncorrected.hex() == rich.p_uncorrected.hex(), n
+
+    def test_dedup_only_below_the_limit_and_never_for_detail(self, monkeypatch):
+        calls = []
+        real = PairSequence.dedup
+
+        def spy(seq):
+            calls.append(seq.n)
+            return real(seq)
+
+        monkeypatch.setattr(PairSequence, "dedup", spy)
+        for n, detail in ((944, False), (944, True), (30, True), (30, False)):
+            seq = generate_pairs(n)
+            fresh = PairSequence(n=n, i=seq.i, j=seq.j)  # a cold sequence, nothing cached
+            pitos_p_value(np.random.default_rng(n).random(n), fresh, detail=detail)
+        assert calls == [30]
+
+    def test_dedup_limit_fits_one_block_and_ends_at_n_943(self):
+        assert core._DEDUP_LIMIT <= core._BLOCK
+        assert pair_count(943) <= core._DEDUP_LIMIT < pair_count(944)
 
     def test_block_pool_is_bitwise_neutral(self, monkeypatch):
         # many short blocks: the sum is the same left-to-right block sum
@@ -116,8 +144,8 @@ class TestPitosPValue:
         pairs = generate_pairs(150)
         monkeypatch.setattr(core, "_DEDUP_LIMIT", 0)
         monkeypatch.setattr(core, "_BLOCK", 997)
-        u = core._conditional_u_block(np.sort(data), pairs.i, pairs.j, 150, np.empty(pairs.m))
-        terms = core._combination_terms(u, np.empty(pairs.m))
+        u = np.empty(pairs.m)
+        terms = core._pair_terms(np.sort(data), pairs.i, pairs.j, 150, np.empty(pairs.m), u)
         total = 0.0
         for lo in range(0, pairs.m, 997):
             total += float(terms[lo : lo + 997].sum())
@@ -134,7 +162,8 @@ class TestPitosPValue:
             v = pitos_p_value(data, pairs, detail=True)
             assert v.statistic.hex() == (total / pairs.m).hex()
             assert v.detail.u.tobytes() == u.tobytes()
-        assert pools == [2, 5]
+            assert pitos_p_value(data, pairs).statistic.hex() == (total / pairs.m).hex()
+        assert pools == [2, 2, 5, 5]
 
     def test_correction_ordering(self):
         rng = np.random.default_rng(17)
@@ -229,18 +258,28 @@ class TestFrozenBits:
 
 
 def _kernel_vs_scalar(x, i, j):
+    """The kernel's u against conditional_os_cdf, and its terms against the
+    fold and Cauchy quantile written out on that u, exactly."""
     sorted_x = np.sort(x)
     n = len(sorted_x)
-    got = core._conditional_u_block(sorted_x, i, j, n, np.empty(len(i)))
-    want = [
+    u = np.empty(len(i))
+    terms = core._pair_terms(sorted_x, i, j, n, np.empty(len(i)), u)
+    want = np.array([
         conditional_os_cdf(n, a, b, sorted_x[a - 1], sorted_x[b - 1])
         for a, b in zip(i.tolist(), j.tolist())
-    ]
-    np.testing.assert_array_equal(got, want)
+    ])
+    np.testing.assert_array_equal(u, want)
+    p = 2.0 * np.minimum(want, 1.0 - want)
+    want_terms = np.tan(np.pi * (np.clip(1.0 - p, core.CLAMP_EPS, 1.0 - core.CLAMP_EPS) - 0.5))
+    np.testing.assert_array_equal(terms, want_terms)
+    # without a u buffer the kernel gives the same terms
+    bare = core._pair_terms(sorted_x, i, j, n, np.empty(len(i)))
+    assert bare.tobytes() == terms.tobytes()
+    return u
 
 
 class TestKernelMatchesScalar:
-    """The vectorized u kernel against the scalar conditional_os_cdf, exactly."""
+    """The vectorized pair kernel against the scalar conditional_os_cdf, exactly."""
 
     SAMPLERS = {
         "uniform": lambda rng, n: rng.random(n),
@@ -265,8 +304,7 @@ class TestKernelMatchesScalar:
         grid = np.arange(1, 7)
         i, j = np.meshgrid(grid, grid, indexing="ij")
         _kernel_vs_scalar(x, i.ravel(), j.ravel())
-        got = core._conditional_u_block(np.sort(x), np.array([5, 2]), np.array([6, 1]), 6,
-                                        np.empty(2))
+        got = _kernel_vs_scalar(x, np.array([5, 2]), np.array([6, 1]))
         np.testing.assert_array_equal(got, [1.0, 1.0])
 
     def test_kernel_sub_blocks_do_not_change_bits(self, monkeypatch):
@@ -274,9 +312,11 @@ class TestKernelMatchesScalar:
         x = np.sort(rng.random(500))
         i = rng.integers(1, 501, 5000)
         j = rng.integers(1, 501, 5000)
-        whole = core._conditional_u_block(x, i, j, 500, np.empty(5000))
+        whole_u, chunked_u = np.empty(5000), np.empty(5000)
+        whole = core._pair_terms(x, i, j, 500, np.empty(5000), whole_u)
         monkeypatch.setattr(core, "PASS_SIZE", 77)
-        chunked = core._conditional_u_block(x, i, j, 500, np.empty(5000))
+        chunked = core._pair_terms(x, i, j, 500, np.empty(5000), chunked_u)
+        assert whole_u.tobytes() == chunked_u.tobytes()
         assert whole.tobytes() == chunked.tobytes()
 
 

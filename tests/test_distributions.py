@@ -79,6 +79,7 @@ class TestZoo:
         x = np.linspace(0, 1, 11)
         np.testing.assert_allclose(np.exp(spec.log_density(x)), 1.0)
         np.testing.assert_allclose(spec.cdf(x), x)
+        assert not spec.is_discrete
 
     def test_phi_laplace_density_value(self):
         spec = zoo_lookup("phi-laplace")
