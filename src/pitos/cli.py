@@ -195,10 +195,11 @@ def _cmd_test(args):
             "n": verdict.n,
             "b": verdict.b,
             "seed": verdict.seed,
-            "statistic": verdict.statistic,
+            # strict JSON has no infinity; only AD reaches one, and only +inf
+            "statistic": None if verdict.statistic == math.inf else verdict.statistic,
             "p_value": verdict.p_value,
         }
-    print(json.dumps(payload))
+    print(json.dumps(payload, allow_nan=False))
     return 0
 
 

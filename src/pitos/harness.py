@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .classic import (CLASSIC_TESTS, batch_statistics, build_empirical_null, empirical_p_value,
-                      replicate_rows)
+                      replicate_rows, stacked)
 from .core import corrected_p_value, pitos_p_value, thread_map
 from .distributions import DistributionSpec, ScenarioSampler, scenario_code, zoo_lookup
 from .pairs import generate_pairs, random_pairs
@@ -127,7 +127,8 @@ def _pvalue_matrix(dist, tests, n, replicates, seed, scen_code, dist_index, pair
     """
     out = np.empty((len(tests), replicates))
     for lo, rows in replicate_rows(
-            replicates, n, lambda r: replicate_dataset(seed, scen_code, dist_index, r, dist, n)):
+            replicates, n,
+            stacked(lambda r: replicate_dataset(seed, scen_code, dist_index, r, dist, n), n)):
         if np.any(np.isnan(rows)) or rows.min() < 0.0 or rows.max() > 1.0:
             raise ValueError(f"sampler for {dist.name!r} produced values outside [0, 1]")
         sorted_rows = np.sort(rows, axis=1)

@@ -168,6 +168,7 @@ def test_criterion_05_local_departure_dominance(acc_cache):
     assert report(5, "fixed bump and gap at n=200: dominance, oracle >= 0.99", ok, " | ".join(details))
 
 
+@pytest.mark.slow
 def test_criterion_06_scenario_study_direction(acc_cache):
     kw = dict(
         num_distributions=100, replicates_per_distribution=500, n=100,
@@ -229,6 +230,7 @@ def test_criterion_08_per_pair_uniformity():
     assert report(8, "per-pair PIT uniform to 0.02 sup distance", ok, detail)
 
 
+@pytest.mark.slow
 def test_criterion_09_complexity_ratio():
     def timed_run(n, data):
         generate_pairs.cache_clear()  # pair generation must be paid each run

@@ -23,6 +23,7 @@ from pitos.classic import (
     nb_statistic,
 )
 from pitos.distributions import DistributionSpec, zoo_lookup
+from pitos.streams import stream
 
 
 def _alternative(name, log_density):
@@ -182,6 +183,34 @@ class TestEmpiricalNull:
         again = build_empirical_null("ks", 40, B=3000, seed=6, cache_dir=cache_dir)
         assert again.statistics.tobytes() == results[0].statistics.tobytes()
         assert not caplog.records  # loaded from the file, not rebuilt
+
+    @pytest.mark.parametrize("ragged", [False, True], ids=["one-block", "ragged"])
+    @pytest.mark.parametrize("test", ["ad", "nb", "ks", "cvm", "lrt"])
+    def test_both_row_paths_match_a_per_stream_reference(self, tmp_path, monkeypatch, test,
+                                                         ragged):
+        # rows come from uniform_rows up to UNIFORM_ROWS_MAX_N and from one
+        # stream() per replicate above it: the same statistics, the same file
+        B, seed = 60, 11
+        alternative = None
+        if test == "lrt":
+            alternative = _alternative("rising", lambda x: np.log(2.0 * np.asarray(x, float)))
+        log_density = getattr(alternative, "log_density", None)
+        calls = []
+        monkeypatch.setattr(classic, "stream", lambda *key: calls.append(key) or stream(*key))
+        for n in (classic.UNIFORM_ROWS_MAX_N, classic.UNIFORM_ROWS_MAX_N + 1):
+            if ragged:
+                monkeypatch.setattr(classic, "ROW_BLOCK_VALUES", 7 * n)  # 8 blocks of 7, then 4
+            rows = np.array([stream(seed, r).random(n) for r in range(B)])
+            expected = np.sort(batch_statistics(test, rows, log_density=log_density))
+            calls.clear()
+            null = build_empirical_null(test, n, B, seed, alternative=alternative,
+                                        cache_dir=tmp_path / "built")
+            assert len(calls) == (0 if n <= classic.UNIFORM_ROWS_MAX_N else B)
+            assert null.statistics.tobytes() == expected.tobytes()
+            built = classic._cache_path(tmp_path / "built", test, n, B, seed, alternative)
+            reference = tmp_path / "reference" / built.name
+            classic._store_null(reference, EmpiricalNull(test, n, expected, B, seed))
+            assert built.read_bytes() == reference.read_bytes()
 
     def test_lrt_needs_density_and_label_separates_cache(self, cache_dir):
         # the label is composed from the alternative's name and parameters

@@ -92,6 +92,35 @@ class TestTestSubcommand:
         assert payload["test"] == "KS" and payload["b"] == 500 and payload["seed"] == 3
         assert 0.0 < payload["p_value"] <= 1.0
 
+    def test_negative_seed_is_named(self, tmp_path, capsys, cache_dir):
+        path = tmp_path / "data.txt"
+        path.write_text("0.2\n0.5\n0.9\n")
+        code, out, err = run_cli(["test", "--input", str(path), "--method", "ks", "--seed", "-1",
+                                  "--cache-dir", str(cache_dir)], capsys)
+        assert (code, out) == (2, "")
+        assert err == "error: seed must be a non-negative integer, got -1\n"
+
+    @pytest.mark.parametrize("method", ["ad", "nb", "ks", "cvm", "pitos"])
+    def test_verdict_is_strict_json(self, tmp_path, capsys, cache_dir, method):
+        # a value at 0 makes AD infinite: JSON null, with the p-value kept
+        path = tmp_path / "data.txt"
+        path.write_text("0.0\n0.5\n0.7\n")
+        argv = ["test", "--input", str(path), "--method", method]
+        if method != "pitos":
+            argv += ["--null-b", "50", "--cache-dir", str(cache_dir)]
+        code, out, _ = run_cli(argv, capsys)
+        assert code == 0
+
+        def refuse(token):
+            raise ValueError(f"non-standard JSON constant {token}")
+
+        payload = json.loads(out, parse_constant=refuse)
+        if method == "ad":
+            assert payload["statistic"] is None
+            assert payload["p_value"] == 1.0 / 51.0
+        elif method != "pitos":
+            assert math.isfinite(payload["statistic"])
+
     def test_null_cdf_routing(self, tmp_path, capsys):
         # beta data mapped through its own CDF should look uniform
         path = tmp_path / "beta.txt"

@@ -201,6 +201,7 @@ class TestIndexMapMatchesInverse:
             self._check(n, warped)
             generate_pairs.cache_clear()
 
+    @pytest.mark.slow
     def test_large_n(self):
         k = pair_count(10**5) - 10**5
         for column, base in enumerate((2, 3)):
