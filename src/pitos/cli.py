@@ -36,7 +36,7 @@ from .harness import (
     replicate_dataset,
     scenario_study,
 )
-from .pairs import generate_pairs
+from .pairs import _sample_size, generate_pairs
 from .rosenblatt import randomized_pit
 from .streams import stream
 
@@ -211,7 +211,7 @@ def _cmd_pairs(args):
 
 def _cmd_sample(args):
     spec = zoo_lookup(args.dist)
-    values = replicate_dataset(args.seed, 0, 0, 0, spec, args.n)
+    values = replicate_dataset(args.seed, 0, 0, 0, spec, _sample_size(args.n))
     _write_text(args.out, _numeric_table("", "{1!r}\n", values))
     return 0
 
@@ -336,7 +336,9 @@ def build_parser():
                            help="empirical-null cache directory (default $PITOS_CACHE_DIR or ~/.cache/pitos)")
         if threads:
             p.add_argument("--threads", type=int, default=1,
-                           help="worker threads; outputs are identical for any value")
+                           help="threads running jobs (grid points or distributions); each "
+                           "job's replicates use the available cores; outputs are identical "
+                           "for any value")
 
     def add_study_flags(p, *, reps=True, roster=True):
         """Flags shared by power, calibrate and study: --reps where it is

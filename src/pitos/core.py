@@ -11,6 +11,7 @@ combination and the result is inflated by the 1.15 dependence correction.
 
 import math
 import os
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -18,7 +19,7 @@ from typing import NamedTuple
 import numpy as np
 from scipy import special as _sp
 
-from .pairs import PASS_SIZE, PairSequence, generate_pairs
+from .pairs import PASS_SIZE, PairSequence, generate_pairs, pair_shapes
 
 __all__ = [
     "OrderedSample",
@@ -145,17 +146,28 @@ def _available_cores():
     return os.cpu_count() or 1
 
 
+_pool_thread = threading.local()  # .marked on the threads of a thread_map pool
+
+
 def thread_map(fn, items, threads):
     """[fn(x) for x in items], on a pool of `threads` threads when there is
-    more than one thread and more than one item; results keep item order."""
-    if threads is None or threads <= 1 or len(items) <= 1:
+    more than one thread and more than one item; results keep item order.
+    Called from a thread of another thread_map's pool it runs inline, so
+    pools never nest: the outer pool already holds the cores."""
+    if threads is None or threads <= 1 or len(items) <= 1 or getattr(_pool_thread, "marked", False):
         return list(map(fn, items))
+
+    def run(item):
+        _pool_thread.marked = True  # the pool's threads end with it
+        return fn(item)
+
     with ThreadPoolExecutor(max_workers=int(threads)) as pool:
-        return list(pool.map(fn, items))
+        return list(pool.map(run, items))
 
 
-def _pair_terms(sorted_x, i_idx, j_idx, n, terms, u=None):
-    """Cauchy-combination terms of index pair arrays against one sorted sample.
+def _shaped_terms(sorted_x, shapes, terms, u=None):
+    """Cauchy-combination terms of one pass of pairs against one sorted
+    sample, from the pairs' PairShapes.
 
     Per pair, u is one Beta CDF G(ratio, a, b) of a ratio of order statistics:
     the cases of conditional_os_cdf differ only in the shapes, the offset and
@@ -163,33 +175,36 @@ def _pair_terms(sorted_x, i_idx, j_idx, n, terms, u=None):
     x_(i) = 0 with i > j) pins the conditional mass, so u = 1.  The term of
     p = 2 min(u, 1 - u) is tan(pi (1 - p - 1/2)); `u`, if given, gets u.
     """
+    xi = sorted_x[shapes.i0]
+    den = np.where(shapes.below, 1.0 - xi, np.where(shapes.above, xi, 1.0))
+    pinned = den <= 0.0
+    den[pinned] = 1.0
+    ratio = sorted_x[shapes.j0]
+    np.subtract(ratio, np.where(shapes.below, xi, 0.0), out=ratio)
+    np.divide(ratio, den, out=ratio)
+    np.clip(ratio, 0.0, 1.0, out=ratio)
+    ratio[pinned] = 1.0
+    if u is None:
+        u = ratio
+    _sp.betainc(shapes.a, shapes.b, ratio, out=u)
+    np.subtract(1.0, u, out=terms)
+    np.minimum(u, terms, out=terms)
+    np.multiply(terms, 2.0, out=terms)
+    np.subtract(1.0, terms, out=terms)
+    np.clip(terms, CLAMP_EPS, 1.0 - CLAMP_EPS, out=terms)
+    np.subtract(terms, 0.5, out=terms)
+    np.multiply(terms, np.pi, out=terms)
+    np.tan(terms, out=terms)
+    return terms
+
+
+def _pair_terms(sorted_x, i_idx, j_idx, n, terms, u=None):
+    """Terms of 1-based index pair arrays, in passes of PASS_SIZE pairs:
+    each pass builds its pairs' shapes and runs _shaped_terms."""
     for lo in range(0, len(terms), PASS_SIZE):
         hi = min(lo + PASS_SIZE, len(terms))
-        i, j = i_idx[lo:hi], j_idx[lo:hi]
-        xi = sorted_x[i - 1]
-        below = i < j
-        above = i > j
-        a = np.where(below, j - i, j).astype(float)
-        b = np.where(above, i - j, n + 1 - j).astype(float)
-        den = np.where(below, 1.0 - xi, np.where(above, xi, 1.0))
-        pinned = den <= 0.0
-        den[pinned] = 1.0
-        ratio = sorted_x[j - 1]
-        np.subtract(ratio, np.where(below, xi, 0.0), out=ratio)
-        np.divide(ratio, den, out=ratio)
-        np.clip(ratio, 0.0, 1.0, out=ratio)
-        ratio[pinned] = 1.0
-        pass_u = ratio if u is None else u[lo:hi]
-        _sp.betainc(a, b, ratio, out=pass_u)
-        out = terms[lo:hi]
-        np.subtract(1.0, pass_u, out=out)
-        np.minimum(pass_u, out, out=out)
-        np.multiply(out, 2.0, out=out)
-        np.subtract(1.0, out, out=out)
-        np.clip(out, CLAMP_EPS, 1.0 - CLAMP_EPS, out=out)
-        np.subtract(out, 0.5, out=out)
-        np.multiply(out, np.pi, out=out)
-        np.tan(out, out=out)
+        shapes = pair_shapes(i_idx[lo:hi], j_idx[lo:hi], n)
+        _shaped_terms(sorted_x, shapes, terms[lo:hi], None if u is None else u[lo:hi])
     return terms
 
 
@@ -224,7 +239,8 @@ def pitos_p_value(sample, pairs=None, *, detail=False):
     -----
     Each pair's u, p and Cauchy term come from one kernel pass.  Sequences of
     m <= 2^16 pairs without detail gather the terms of their distinct pairs
-    (PairSequence.dedup, cached on the sequence) into one summation block;
+    into one summation block, reading the pairs' shapes from the plan cached
+    on the sequence (PairSequence.plan);
     the rest walk fixed blocks of 2^20 pairs, on a pool of one thread per
     available core when there is more than one block (betainc releases the
     GIL).  Terms are summed pairwise within a block and the block sums left
@@ -245,8 +261,8 @@ def pitos_p_value(sample, pairs=None, *, detail=False):
     m = pairs.m
     u_all = np.empty(m) if detail else None
     if m <= _DEDUP_LIMIT and not detail:
-        ui, uj, inv = pairs.dedup()
-        block_totals = [float(_pair_terms(sorted_x, ui, uj, n, np.empty(len(ui)))[inv].sum())]
+        shapes, inv = pairs.plan()
+        block_totals = [float(_shaped_terms(sorted_x, shapes, np.empty(len(shapes.a)))[inv].sum())]
     else:
         starts = range(0, m, _BLOCK)
         workers = min(len(starts), _available_cores())  # one block runs inline

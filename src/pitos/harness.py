@@ -19,7 +19,7 @@ import numpy as np
 
 from .classic import (CLASSIC_TESTS, batch_statistics, build_empirical_null, empirical_p_value,
                       replicate_rows, stacked)
-from .core import corrected_p_value, pitos_p_value, thread_map
+from .core import _available_cores, corrected_p_value, pitos_p_value, thread_map
 from .distributions import DistributionSpec, ScenarioSampler, scenario_code, zoo_lookup
 from .pairs import generate_pairs, random_pairs
 from .streams import stream
@@ -120,12 +120,17 @@ def _pvalue_matrix(dist, tests, n, replicates, seed, scen_code, dist_index, pair
 
     The pitos row holds the uncorrected combination p; pass it through
     corrected_p_value before comparing it with a level.  `nulls` maps every
-    test but pitos to its empirical null.  Replicates are scored in the row
-    blocks of classic.replicate_rows; every statistic is computed per row,
-    so the block size never changes a p-value.  A replicate any test cannot
-    score is a NaN, counted against FAILURE_BUDGET and read as p = 1.
+    test but pitos to its empirical null.  Replicates are drawn and scored
+    in the row blocks of classic.replicate_rows, so at most one block of
+    ROW_BLOCK_VALUES values is held.  Within a block, pitos scores one unit
+    of consecutive rows per available core, each unit on its own thread
+    writing its own columns.  Every statistic is computed per row, so
+    neither the block size nor the core count changes a p-value.  A
+    replicate any test cannot score is a NaN, counted against
+    FAILURE_BUDGET and read as p = 1.
     """
     out = np.empty((len(tests), replicates))
+    workers = _available_cores()
     for lo, rows in replicate_rows(
             replicates, n,
             stacked(lambda r: replicate_dataset(seed, scen_code, dist_index, r, dist, n), n)):
@@ -134,11 +139,16 @@ def _pvalue_matrix(dist, tests, n, replicates, seed, scen_code, dist_index, pair
         sorted_rows = np.sort(rows, axis=1)
         for k, test in enumerate(tests):
             if test == "pitos":
-                for r, row in enumerate(rows, lo):
-                    try:
-                        out[k, r] = pitos_p_value(row, pairs).p_uncorrected
-                    except (ValueError, FloatingPointError):
-                        out[k, r] = np.nan
+                unit = -(-len(rows) // workers)
+
+                def score(first):
+                    for r in range(first, min(first + unit, len(rows))):
+                        try:
+                            out[k, lo + r] = pitos_p_value(rows[r], pairs).p_uncorrected
+                        except (ValueError, FloatingPointError):
+                            out[k, lo + r] = np.nan
+
+                thread_map(score, range(0, len(rows), unit), workers)
             else:
                 stats = batch_statistics(test, rows, sorted_rows, dist.log_density)
                 out[k, lo : lo + len(rows)] = empirical_p_value(nulls[test], stats)
@@ -169,6 +179,8 @@ def _power_reports(jobs, tests, alpha, replicates, seed, null_b, cache_dir, pair
         raise ValueError("alpha must lie strictly inside (0, 1)")
     if replicates < 1:
         raise ValueError("replicates must be >= 1")
+    if threads < 1:
+        raise ValueError(f"threads must be >= 1, got {threads}")
     tests = _normalize_tests(tests)
     resolved = {n: _resolve_roster(tests, n, seed, null_b, cache_dir, pair_seed)
                 for n in dict.fromkeys(job[1] for job in jobs)}

@@ -9,7 +9,9 @@ pairs are the diagonal (1,1), ..., (n,n).
 import functools
 import logging
 import math
+import threading
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -108,6 +110,31 @@ def _sample_size(n):
     return int(n)
 
 
+class PairShapes(NamedTuple):
+    """The data-free half of the u kernel for a run of pairs (i, j): 0-based
+    indices, the Beta shapes (a, b) of each pair's conditional CDF, and its
+    branch (i < j below, i > j above, the diagonal neither)."""
+
+    i0: np.ndarray
+    j0: np.ndarray
+    a: np.ndarray
+    b: np.ndarray
+    below: np.ndarray
+    above: np.ndarray
+
+
+def pair_shapes(i, j, n):
+    """PairShapes of the 1-based index arrays i, j for sample size n."""
+    below = i < j
+    above = i > j
+    a = np.where(below, j - i, j).astype(float)
+    b = np.where(above, i - j, n + 1 - j).astype(float)
+    return PairShapes(i - 1, j - 1, a, b, below, above)
+
+
+_PLAN_LOCK = threading.Lock()  # threads scoring one sequence build its plan once
+
+
 def pair_count(n):
     """Sequence length m = ceil(10 n ln n) + n (natural log)."""
     n = _sample_size(n)
@@ -125,7 +152,7 @@ class PairSequence:
     i: np.ndarray
     j: np.ndarray
     warp: tuple = DEFAULT_WARP
-    _dedup: tuple = field(default=None, repr=False, compare=False)
+    _plan: tuple = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         self.i = np.ascontiguousarray(self.i, dtype=np.int64)
@@ -150,14 +177,25 @@ class PairSequence:
         return zip(self.i.tolist(), self.j.tolist())
 
     def dedup(self):
-        """(unique_i, unique_j, inverse), cached; pitos_p_value gathers by it below 2^16 pairs."""
-        if self._dedup is None:
-            code = self.i * np.int64(self.n + 1) + self.j
-            ucode, inv = np.unique(code, return_inverse=True)
-            ui = (ucode // (self.n + 1)).astype(np.int64)
-            uj = (ucode % (self.n + 1)).astype(np.int64)
-            self._dedup = (ui, uj, inv)
-        return self._dedup
+        """(unique_i, unique_j, inverse): the distinct pairs, sorted, and the
+        index of each pair among them; plan() is built from it."""
+        code = self.i * np.int64(self.n + 1) + self.j
+        ucode, inv = np.unique(code, return_inverse=True)
+        ui = (ucode // (self.n + 1)).astype(np.int64)
+        uj = (ucode % (self.n + 1)).astype(np.int64)
+        return ui, uj, inv
+
+    def plan(self):
+        """(PairShapes of the distinct pairs, inverse), built once and cached:
+        pitos_p_value evaluates the distinct pairs and gathers their terms by
+        `inverse` below 2^16 pairs, so replicates scored on one sequence
+        share the sort and the shapes."""
+        if self._plan is None:
+            with _PLAN_LOCK:
+                if self._plan is None:
+                    ui, uj, inv = self.dedup()
+                    self._plan = (pair_shapes(ui, uj, self.n), inv)
+        return self._plan
 
 
 def _halton_points(out, column, lo):

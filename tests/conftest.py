@@ -93,3 +93,19 @@ def session_cache_dir(tmp_path_factory):
     """One on-disk null cache shared across the whole run, so repeated
     (test, n, B, seed) builds inside the suite are paid for once."""
     return tmp_path_factory.mktemp("null-cache")
+
+
+@pytest.fixture()
+def pool_sizes(monkeypatch):
+    """The max_workers of every pool core.thread_map starts, in order."""
+    from pitos import core
+
+    sizes = []
+
+    class RecordingPool(core.ThreadPoolExecutor):
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+            super().__init__(max_workers=max_workers)
+
+    monkeypatch.setattr(core, "ThreadPoolExecutor", RecordingPool)
+    return sizes

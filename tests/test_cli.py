@@ -383,6 +383,30 @@ class TestTabularSubcommands:
         assert err == "error: sample size must be a positive integer, got 0\n"
         assert not any(tmp_path.iterdir())  # no CSV, no cache directory
 
+    @pytest.mark.parametrize("n", ["0", "-3"])
+    def test_sample_rejects_sample_sizes_below_one(self, tmp_path, capsys, n):
+        out_file = tmp_path / "sample.txt"
+        code, out, err = run_cli(
+            ["sample", "--dist", "uniform", "--n", n, "--out", str(out_file)], capsys)
+        assert code == 2 and out == ""
+        assert err == f"error: sample size must be a positive integer, got {n}\n"
+        assert not out_file.exists()
+
+    @pytest.mark.parametrize("threads", ["0", "-2"])
+    @pytest.mark.parametrize("command", [
+        ["power", "--dist", "uniform", "--n", "8"],
+        ["study", "--scenario", "outliers", "--dists", "2", "--n", "8"],
+    ])
+    def test_thread_counts_below_one_are_refused(self, tmp_path, capsys, command, threads):
+        code, out, err = run_cli(
+            command + ["--tests", "ks", "--reps", "4", "--null-b", "20", "--threads", threads,
+                       "--cache-dir", str(tmp_path / "cache"), "--out", str(tmp_path / "out.csv")],
+            capsys,
+        )
+        assert code == 2 and out == ""
+        assert err == f"error: threads must be >= 1, got {threads}\n"
+        assert not any(tmp_path.iterdir())  # no CSV, no cache directory
+
     @pytest.mark.parametrize("argv", [
         ["sample", "--dist", "uniform", "--n", "5"],
         ["scenarios", "--name", "outliers", "--count", "2"],

@@ -4,13 +4,15 @@ ordering, frozen output bits, the vectorized kernel against the scalar
 conditional CDF, and null uniformity of the per-pair transform."""
 
 import hashlib
+import sys
+import threading
 
 import numpy as np
 import pytest
 
 from pitos import core
 from pitos.core import OrderedSample, conditional_os_cdf, pitos_p_value
-from pitos.pairs import PairSequence, generate_pairs, pair_count, random_pairs
+from pitos.pairs import PairSequence, generate_pairs, pair_count, pair_shapes, random_pairs
 
 from conftest import ecdf_sup_distance
 
@@ -165,6 +167,13 @@ class TestPitosPValue:
             assert pitos_p_value(data, pairs).statistic.hex() == (total / pairs.m).hex()
         assert pools == [2, 2, 5, 5]
 
+    def test_nested_thread_map_runs_inline(self, pool_sizes):
+        inner = lambda x: core.thread_map(lambda y: (x, y), [1, 2, 3], 2)
+        assert core.thread_map(inner, [0, 1], 2) == [[(x, y) for y in (1, 2, 3)] for x in (0, 1)]
+        assert pool_sizes == [2]
+        assert core.thread_map(inner, [0], 2) == [[(0, y) for y in (1, 2, 3)]]  # inline outer
+        assert pool_sizes == [2, 2]
+
     def test_correction_ordering(self):
         rng = np.random.default_rng(17)
         for _ in range(50):
@@ -208,6 +217,84 @@ class TestPitosPValue:
             pitos_p_value(data, pairs)
         warned = [r for r in caplog.records if "1.15 correction" in r.message]
         assert [r.name for r in warned] == ["pitos.pairs"]
+
+
+class TestPairPlan:
+    """The gather regime reads its shapes from the plan cached on the
+    sequence; it must give the block loop's bits."""
+
+    @staticmethod
+    def _tied_boundary_data(n):
+        # few distinct values, 0 and 1 among them: ties and pinned denominators
+        rng = np.random.default_rng(7 + n)
+        return rng.choice(np.concatenate(([0.0, 1.0], rng.random(n // 4 + 1))), n)
+
+    def test_plan_matches_block_loop(self, monkeypatch):
+        for n in list(range(1, 401)) + [943, 944, 3000]:
+            pairs = generate_pairs(n)
+            for data in (self._tied_boundary_data(n), np.random.default_rng(n).random(n)):
+                monkeypatch.setattr(core, "_DEDUP_LIMIT", core._BLOCK)
+                planned = pitos_p_value(data, pairs)
+                monkeypatch.setattr(core, "_DEDUP_LIMIT", 0)
+                looped = pitos_p_value(data, pairs)
+                assert planned.statistic.hex() == looped.statistic.hex(), n
+                assert planned.p_uncorrected.hex() == looped.p_uncorrected.hex(), n
+            assert pairs._plan is not None, n
+
+    def test_plan_is_built_once_from_dedup(self, monkeypatch):
+        calls = []
+        real = PairSequence.dedup
+
+        def spy(seq):
+            calls.append(seq.n)
+            return real(seq)
+
+        monkeypatch.setattr(PairSequence, "dedup", spy)
+        seq = generate_pairs(50)
+        fresh = PairSequence(n=50, i=seq.i, j=seq.j)
+        for r in range(3):
+            pitos_p_value(np.random.default_rng(r).random(50), fresh)
+        assert calls == [50]
+        shapes, inv = fresh.plan()
+        ui, uj, dedup_inv = real(fresh)
+        np.testing.assert_array_equal(inv, dedup_inv)
+        want = pair_shapes(ui, uj, 50)
+        for got, expected in zip(shapes, want):
+            assert got.dtype == expected.dtype and got.tobytes() == expected.tobytes()
+        np.testing.assert_array_equal(shapes.i0[inv] + 1, fresh.i)
+        np.testing.assert_array_equal(shapes.j0[inv] + 1, fresh.j)
+
+    def test_threads_racing_for_the_plan_build_it_once(self, monkeypatch):
+        calls = []
+        real = PairSequence.dedup
+
+        def spy(seq):
+            calls.append(seq.n)
+            return real(seq)
+
+        monkeypatch.setattr(PairSequence, "dedup", spy)
+        seq = generate_pairs(900)
+        data = np.random.default_rng(3).random(900)
+        want = pitos_p_value(data, seq).statistic
+        threads = 8
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(3):
+                calls.clear()
+                fresh = PairSequence(n=900, i=seq.i, j=seq.j)
+                start = threading.Barrier(threads)
+
+                def score():
+                    start.wait(timeout=60)
+                    return pitos_p_value(data, fresh)
+
+                with core.ThreadPoolExecutor(max_workers=threads) as pool:
+                    got = [f.result(timeout=60) for f in [pool.submit(score) for _ in range(threads)]]
+                assert calls == [900]
+                assert all(v.statistic.hex() == want.hex() for v in got)
+        finally:
+            sys.setswitchinterval(interval)
 
 
 def _frozen_data(n):

@@ -165,6 +165,57 @@ class TestRowBlocks:
                            cache_dir=cache_dir)
 
 
+class TestReplicateUnits:
+    """Within a row block, pitos scores one unit of consecutive rows per
+    core; the core count must not move a single p-value bit."""
+
+    @staticmethod
+    def _matrices(monkeypatch, cache_dir, cores):
+        matrices = []
+        score = harness._pvalue_matrix
+
+        def record(*args):
+            matrices.append(score(*args))
+            return matrices[-1]
+
+        with monkeypatch.context() as patch:
+            patch.setattr(harness, "_available_cores", lambda: cores)
+            patch.setattr(harness, "_pvalue_matrix", record)
+            # 13 replicates: not a multiple of 2 or 3 units
+            estimate_power("beta(0.6,0.6)", ALL_TESTS, 9, replicates=13, seed=8, null_b=200,
+                           cache_dir=cache_dir)
+        return [m.tobytes() for m in matrices]
+
+    @pytest.mark.parametrize("block_rows", [None, 5])
+    def test_core_count_is_bitwise_neutral(self, monkeypatch, tmp_path, block_rows):
+        if block_rows is not None:  # ragged blocks of 5 + 5 + 3 rows
+            monkeypatch.setattr(classic, "ROW_BLOCK_VALUES", block_rows * 9)
+        runs = {cores: self._matrices(monkeypatch, tmp_path, cores) for cores in (1, 2, 3)}
+        assert runs[2] == runs[1]
+        assert runs[3] == runs[1]
+
+    def test_pools_never_nest(self, monkeypatch, cache_dir, pool_sizes):
+        # units would take a pool of 2 threads; inside a study's job pool they run inline
+        monkeypatch.setattr(harness, "_available_cores", lambda: 2)
+        kw = dict(alpha=0.05, seed=13, tests=("pitos", "ks"), null_b=300, cache_dir=cache_dir)
+        scenario_study("outliers", 3, 10, 20, **kw, threads=2)
+        assert pool_sizes == [2]  # the jobs' pool only
+        pool_sizes.clear()
+        scenario_study("outliers", 3, 10, 20, **kw, threads=1)
+        assert pool_sizes == [2, 2, 2]  # one units' pool per job
+
+    @pytest.mark.parametrize("threads", [0, -2])
+    def test_thread_counts_below_one_are_refused(self, cache_dir, threads):
+        message = f"^threads must be >= 1, got {threads}$"
+        with pytest.raises(ValueError, match=message):
+            power_curve("uniform", "ks", [8], replicates=4, null_b=20, cache_dir=cache_dir,
+                        threads=threads)
+        with pytest.raises(ValueError, match=message):
+            scenario_study("outliers", 2, 4, 8, tests=("ks",), null_b=20, cache_dir=cache_dir,
+                           threads=threads)
+        assert not cache_dir.exists()  # refused before any null is built
+
+
 class TestCommonRandomNumbers:
     def test_same_dataset_for_every_test(self):
         # the replicate dataset is a pure function of (seed, path, dist, n):
