@@ -13,6 +13,9 @@ Statistics (all reject for large values, data on [0, 1], X_(i) sorted):
 p-values use the add-one estimator (1 + #{null >= observed}) / (B + 1)
 against B simulated null statistics, which are cached on disk keyed by
 (test, n, B, seed); a cache file of another NULL_CACHE_VERSION is rebuilt.
+A null read from a file is kept in memory and served again, without
+opening the file, while the file's identity (device, inode, size, mtime,
+ctime) stays the same.
 """
 
 import hashlib
@@ -21,14 +24,16 @@ import logging
 import math
 import os
 import secrets
+import threading
 import zipfile
+from collections import OrderedDict
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from .core import OrderedSample, TestVerdict
-from .pairs import _sample_size
+from .pairs import _positive_int, _sample_size
 from .streams import stream, uniform_rows
 
 __all__ = [
@@ -57,6 +62,10 @@ CACHE_ENV_VAR = "PITOS_CACHE_DIR"
 # Row-batched work (a null build, a study's replicates) holds at most this
 # many sample values at once.
 ROW_BLOCK_VALUES = 1 << 21
+# Nulls read from cache files stay in memory up to this many bytes of
+# statistics (20 verdict nulls of VERDICT_NULL_B); the least recently used
+# go first.
+NULL_MEMO_BYTES = 1 << 24
 # Null builds at or below this n draw their rows with streams.uniform_rows,
 # above it with one stream() per replicate; both give the same bits.  Rows
 # of a B = 20k build, best of 5 (2 cores, numpy 2.4): uniform_rows was 9.5x
@@ -228,7 +237,7 @@ def _cache_path(cache_dir, test, n, B, seed, alternative):
     if alternative is not None:
         label = json.dumps([alternative.name, alternative.parameters], sort_keys=True, default=repr)
         name += f"_{hashlib.sha256(label.encode()).hexdigest()[:16]}"
-    return Path(cache_dir) / f"{name}.npz"
+    return cache_dir / f"{name}.npz"
 
 
 def build_empirical_null(test, n, B=VERDICT_NULL_B, seed=0, *, alternative=None, cache_dir=None):
@@ -240,11 +249,12 @@ def build_empirical_null(test, n, B=VERDICT_NULL_B, seed=0, *, alternative=None,
     (test, n, B, seed).  The lrt null also needs `alternative`, the
     DistributionSpec whose log-density it sums; its file is further keyed
     by the spec's name and full-precision parameters (names keep 6
-    significant digits, so two alternatives can print alike).
+    significant digits, so two alternatives can print alike).  A null read
+    from its file is kept in memory (see _NullMemo).  The returned
+    statistics are read-only.
     """
     n = _sample_size(n)
-    if B < 1:
-        raise ValueError("B must be >= 1")
+    B = _positive_int(B, "B")
     if test not in _BATCH:
         raise ValueError(f"unknown test identifier {test!r}")
     log_density = getattr(alternative, "log_density", None)
@@ -256,10 +266,9 @@ def build_empirical_null(test, n, B=VERDICT_NULL_B, seed=0, *, alternative=None,
 
     cache_dir = resolve_cache_dir(cache_dir)
     path = _cache_path(cache_dir, test, n, B, seed, alternative)
-    if path.exists():
-        cached = _load_null(path, test, n, B, seed)
-        if cached is not None:
-            return cached
+    cached = _read_null(path, test, n, B, seed)
+    if cached is not None:
+        return cached
 
     stats = np.empty(B)
     # documented stream derivation: one child stream per (seed, replicate_index),
@@ -274,9 +283,56 @@ def build_empirical_null(test, n, B=VERDICT_NULL_B, seed=0, *, alternative=None,
     if nan_count:
         raise ValueError(f"{test} null at n={n}: {nan_count}/{B} statistics are NaN")
     stats.sort()
+    stats.setflags(write=False)
     null = EmpiricalNull(test_name=test, n=n, statistics=stats, B=B, seed=seed)
     _store_null(path, null)
     return null
+
+
+class _NullMemo:
+    """Nulls read from cache files, keyed by path, each with the identity of
+    the file it was read from; least recently used first, at most
+    NULL_MEMO_BYTES of statistics.  Builds are not kept: a null just built
+    may never be read again.  Lrt nulls resolve on pool threads, so a lock
+    guards the entries."""
+
+    def __init__(self):
+        self._lock = threading.Lock()
+        self._entries = OrderedDict()  # path -> (identity, EmpiricalNull)
+        self.nbytes = 0
+
+    def get(self, path, identity):
+        """The null read from `path` if the file still has `identity`; a
+        stale entry is dropped."""
+        with self._lock:
+            entry = self._entries.get(path)
+            if entry is None:
+                return None
+            if entry[0] != identity:
+                self._drop(path)
+                return None
+            self._entries.move_to_end(path)
+            return entry[1]
+
+    def put(self, path, identity, null):
+        # every caller shares the one array, so none may write to it
+        null.statistics.setflags(write=False)
+        with self._lock:
+            if path in self._entries:
+                self._drop(path)
+            if null.statistics.nbytes > NULL_MEMO_BYTES:
+                return
+            self._entries[path] = (identity, null)
+            self.nbytes += null.statistics.nbytes
+            while self.nbytes > NULL_MEMO_BYTES:
+                self._drop(next(iter(self._entries)))
+
+    def _drop(self, path):
+        _, null = self._entries.pop(path)
+        self.nbytes -= null.statistics.nbytes
+
+
+_NULL_MEMO = _NullMemo()
 
 
 def _cache_header(test, n, B, seed):
@@ -301,9 +357,30 @@ def _store_null(path, null):
         log.warning("could not write null cache %s: %s", path, exc)
 
 
+def _read_null(path, test, n, B, seed):
+    """The null cached at `path`: from memory while the file keeps the
+    identity it had when read, else loaded from the file.  None when there
+    is no usable file."""
+    try:
+        st = os.stat(path)
+    except (FileNotFoundError, NotADirectoryError):
+        identity = None  # no file: build the null
+    else:
+        # what a replaced file changes (device, inode) and what a rewrite in
+        # place does (size, and mtime and ctime up to the timestamp tick)
+        identity = (st.st_dev, st.st_ino, st.st_size, st.st_mtime_ns, st.st_ctime_ns)
+    null = _NULL_MEMO.get(path, identity)
+    if null is None and identity is not None:
+        null = _load_null(path, test, n, B, seed)
+        if null is not None:
+            _NULL_MEMO.put(path, identity, null)
+    return null
+
+
 def _load_null(path, test, n, B, seed):
     try:
-        with np.load(path, allow_pickle=False) as payload:
+        # our own handle: np.load leaks the one it opens when the zip is unreadable
+        with open(path, "rb") as fh, np.load(fh, allow_pickle=False) as payload:
             header = json.loads(str(payload["header"]))
             if header != _cache_header(test, n, B, seed):
                 return None  # another null, or one from an older format or statistic
@@ -342,6 +419,6 @@ def classic_test(test, sample, *, null_b=VERDICT_NULL_B, seed=0, cache_dir=None)
         statistic=observed,
         p_value=empirical_p_value(null, observed),
         n=sample.n,
-        b=null_b,
+        b=null.B,
         seed=seed,
     )

@@ -43,11 +43,9 @@ def halton(index, base):
     rounded once in the final division, so the result is the correctly
     rounded double of the exact rational value.
     """
-    if int(index) != index or index < 1:
-        raise ValueError(f"halton index must be a positive integer, got {index!r}")
+    i = _positive_int(index, "halton index")
     if int(base) != base or base < 2:
         raise ValueError(f"halton base must be an integer >= 2, got {base!r}")
-    i = int(index)
     num, denom = 0, 1
     while i > 0:
         num = num * base + i % base
@@ -104,10 +102,20 @@ def _digit_count(index, base):
     return ndigits
 
 
+def _positive_int(value, what):
+    """`value` as an int when it is a whole number >= 1 (not a bool), else a
+    ValueError naming `what` and the value."""
+    try:
+        whole = not isinstance(value, (bool, np.bool_)) and int(value) == value and value >= 1
+    except (TypeError, ValueError, OverflowError):
+        whole = False
+    if not whole:
+        raise ValueError(f"{what} must be a positive integer, got {value!r}")
+    return int(value)
+
+
 def _sample_size(n):
-    if int(n) != n or n < 1:
-        raise ValueError(f"sample size must be a positive integer, got {n!r}")
-    return int(n)
+    return _positive_int(n, "sample size")
 
 
 class PairShapes(NamedTuple):

@@ -243,6 +243,17 @@ class TestEmpiricalNull:
                                  cache_dir=cache_dir)
         assert not cache_dir.exists()
 
+    @pytest.mark.parametrize("B", [2.5, True, "20", None, 0, -4])
+    def test_null_draw_count_must_be_a_positive_integer(self, cache_dir, B):
+        with pytest.raises(ValueError, match=f"^B must be a positive integer, got {B!r}$"):
+            build_empirical_null("ks", 10, B, cache_dir=cache_dir)
+        assert not cache_dir.exists()
+
+    def test_whole_float_null_draw_count_is_an_int(self, cache_dir):
+        null = build_empirical_null("ks", 10, 20.0, cache_dir=cache_dir)
+        assert type(null.B) is int and null.B == 20
+        assert [p.name for p in cache_dir.iterdir()] == ["ks_n10_B20_s0.npz"]
+
     def test_unknown_test_rejected(self, cache_dir):
         with pytest.raises(ValueError):
             build_empirical_null("watson", 10, B=10, seed=0, cache_dir=cache_dir)
@@ -252,6 +263,142 @@ class TestEmpiricalNull:
             EmpiricalNull("ks", 5, np.array([0.3, 0.1]), B=2, seed=0)
         with pytest.raises(ValueError):
             EmpiricalNull("ks", 5, np.array([0.1, 0.3]), B=3, seed=0)
+
+
+class TestNullMemo:
+    """A null read from its cache file is served from memory while the file
+    keeps its identity; any replacement or rewrite of the file is read anew."""
+
+    @pytest.fixture()
+    def loads(self, monkeypatch):
+        calls = []
+        load = classic._load_null
+        monkeypatch.setattr(classic, "_load_null", lambda *a: calls.append(a[0]) or load(*a))
+        return calls
+
+    def test_a_hit_returns_the_same_bytes_without_loading(self, cache_dir, loads):
+        built = build_empirical_null("ks", 25, B=400, seed=1, cache_dir=cache_dir)
+        assert loads == []  # a build is not remembered
+        first = build_empirical_null("ks", 25, B=400, seed=1, cache_dir=cache_dir)
+        again = build_empirical_null("ks", 25, B=400, seed=1, cache_dir=cache_dir)
+        (path,) = cache_dir.glob("*.npz")
+        assert loads == [path]
+        assert again is first
+        assert again.statistics.tobytes() == built.statistics.tobytes()
+
+    def test_statistics_refuse_writes(self, cache_dir):
+        built = build_empirical_null("cvm", 12, B=100, seed=2, cache_dir=cache_dir)
+        read = build_empirical_null("cvm", 12, B=100, seed=2, cache_dir=cache_dir)
+        for null in (built, read):
+            with pytest.raises(ValueError, match="read-only"):
+                null.statistics[0] = 0.0
+        assert read.statistics.tobytes() == built.statistics.tobytes()
+
+    def test_a_file_truncated_in_place_is_rebuilt(self, cache_dir, loads, caplog):
+        first = build_empirical_null("ad", 12, B=200, seed=4, cache_dir=cache_dir)
+        build_empirical_null("ad", 12, B=200, seed=4, cache_dir=cache_dir)
+        (path,) = cache_dir.glob("*.npz")
+        whole = path.read_bytes()
+        path.write_bytes(whole[: len(whole) // 2])
+        again = build_empirical_null("ad", 12, B=200, seed=4, cache_dir=cache_dir)
+        assert loads == [path, path]
+        assert any("unreadable null cache" in r.message for r in caplog.records)
+        assert again.statistics.tobytes() == first.statistics.tobytes()
+        assert path.read_bytes() == whole
+
+    def test_a_file_swapped_in_is_read(self, cache_dir, loads):
+        build_empirical_null("nb", 14, B=250, seed=3, cache_dir=cache_dir)
+        build_empirical_null("nb", 14, B=250, seed=3, cache_dir=cache_dir)
+        (path,) = cache_dir.glob("*.npz")
+        other = np.linspace(0.0, 1.0, 250)
+        classic._store_null(path, EmpiricalNull("nb", 14, other, B=250, seed=3))  # os.replace
+        again = build_empirical_null("nb", 14, B=250, seed=3, cache_dir=cache_dir)
+        assert loads == [path, path]
+        assert again.statistics.tobytes() == other.tobytes()
+
+    def test_a_deleted_file_is_rebuilt(self, cache_dir, loads):
+        first = build_empirical_null("ks", 16, B=150, seed=5, cache_dir=cache_dir)
+        build_empirical_null("ks", 16, B=150, seed=5, cache_dir=cache_dir)
+        (path,) = cache_dir.glob("*.npz")
+        whole = path.read_bytes()
+        path.unlink()
+        again = build_empirical_null("ks", 16, B=150, seed=5, cache_dir=cache_dir)
+        assert loads == [path]  # rebuilt, not read
+        assert again.statistics.tobytes() == first.statistics.tobytes()
+        assert path.read_bytes() == whole
+        assert path not in classic._NULL_MEMO._entries  # the stale entry is dropped
+
+    def test_a_file_from_before_the_version_key_is_rebuilt(self, cache_dir, loads):
+        first = build_empirical_null("nb", 14, B=250, seed=3, cache_dir=cache_dir)
+        build_empirical_null("nb", 14, B=250, seed=3, cache_dir=cache_dir)
+        (path,) = cache_dir.glob("*.npz")
+        whole = path.read_bytes()
+        old_header = json.dumps({"test": "nb", "n": 14, "B": 250, "seed": 3})
+        np.savez(path, header=np.array(old_header), statistics=np.zeros(250))  # in place
+        again = build_empirical_null("nb", 14, B=250, seed=3, cache_dir=cache_dir)
+        assert loads == [path, path]
+        assert again.statistics.tobytes() == first.statistics.tobytes()
+        assert path.read_bytes() == whole
+
+    def test_the_byte_bound_evicts_the_least_recently_used(self, cache_dir, loads, monkeypatch):
+        B = 100
+        monkeypatch.setattr(classic, "NULL_MEMO_BYTES", 2 * 8 * B)  # two nulls' statistics
+        monkeypatch.setattr(classic, "_NULL_MEMO", classic._NullMemo())
+        read = lambda seed: build_empirical_null("ks", 10, B, seed, cache_dir=cache_dir)
+        for seed in (1, 2, 3):
+            read(seed)  # build the files
+        path = {seed: classic._cache_path(cache_dir, "ks", 10, B, seed, None) for seed in (1, 2, 3)}
+        for seed in (1, 2, 1, 3):  # 3 evicts 2, the least recently used
+            read(seed)
+        assert loads == [path[1], path[2], path[3]]
+        assert classic._NULL_MEMO.nbytes == 2 * 8 * B
+        read(1)
+        read(3)
+        assert len(loads) == 3
+        read(2)
+        assert loads[3:] == [path[2]]
+
+    def test_a_null_over_the_byte_bound_is_not_kept(self, cache_dir, loads, monkeypatch):
+        monkeypatch.setattr(classic, "NULL_MEMO_BYTES", 8 * 99)
+        monkeypatch.setattr(classic, "_NULL_MEMO", classic._NullMemo())
+        for _ in range(3):
+            build_empirical_null("ks", 10, 100, 1, cache_dir=cache_dir)
+        assert len(loads) == 2 and classic._NULL_MEMO.nbytes == 0
+
+    def test_concurrent_readers_get_identical_bytes(self, cache_dir, monkeypatch):
+        # 8 readers released together, over two nulls of which the bound holds
+        # one, so loads, hits and evictions interleave
+        B, readers, rounds = 300, 8, 100
+        monkeypatch.setattr(classic, "NULL_MEMO_BYTES", 8 * B)
+        monkeypatch.setattr(classic, "_NULL_MEMO", classic._NullMemo())
+        expected = {t: build_empirical_null(t, 30, B, 7, cache_dir=cache_dir).statistics.tobytes()
+                    for t in ("ks", "cvm")}
+        barrier = threading.Barrier(readers, timeout=30)
+        seen = [[] for _ in range(readers)]
+
+        def read(w):
+            barrier.wait()
+            for k in range(rounds):
+                test = ("ks", "cvm")[(w + k) % 2]
+                null = build_empirical_null(test, 30, B, 7, cache_dir=cache_dir)
+                seen[w].append((test, null.statistics.tobytes()))
+
+        threads = [threading.Thread(target=read, args=(w,)) for w in range(readers)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert all(len(s) == rounds for s in seen)
+        assert all(got == expected[test] for s in seen for test, got in s)
+        memo = classic._NULL_MEMO
+        assert memo.nbytes == sum(null.statistics.nbytes for _, null in memo._entries.values())
+        assert memo.nbytes <= 8 * B
 
 
 class TestEmpiricalPValue:

@@ -92,6 +92,16 @@ class TestTestSubcommand:
         assert payload["test"] == "KS" and payload["b"] == 500 and payload["seed"] == 3
         assert 0.0 < payload["p_value"] <= 1.0
 
+    @pytest.mark.parametrize("null_b", ["0", "-3"])
+    def test_null_draw_counts_below_one_are_named(self, tmp_path, capsys, cache_dir, null_b):
+        path = tmp_path / "data.txt"
+        path.write_text("0.2\n0.5\n0.9\n")
+        code, out, err = run_cli(["test", "--input", str(path), "--method", "ks",
+                                  "--null-b", null_b, "--cache-dir", str(cache_dir)], capsys)
+        assert (code, out) == (2, "")
+        assert err == f"error: B must be a positive integer, got {null_b}\n"
+        assert not cache_dir.exists()
+
     def test_negative_seed_is_named(self, tmp_path, capsys, cache_dir):
         path = tmp_path / "data.txt"
         path.write_text("0.2\n0.5\n0.9\n")
