@@ -15,7 +15,9 @@ against B simulated null statistics, which are cached on disk keyed by
 (test, n, B, seed); a cache file of another NULL_CACHE_VERSION is rebuilt.
 A null read from a file is kept in memory and served again, without
 opening the file, while the file's identity (device, inode, size, mtime,
-ctime) stays the same.
+ctime) stays the same.  A build whose rows fit in one block reuses the row
+block of the previous build at the same seed and n, so the nulls of a
+roster draw their rows once.
 """
 
 import hashlib
@@ -34,7 +36,7 @@ import numpy as np
 
 from .core import OrderedSample, TestVerdict
 from .pairs import _positive_int, _sample_size
-from .streams import stream, uniform_rows
+from .streams import _check_key, stream, uniform_rows
 
 __all__ = [
     "EmpiricalNull",
@@ -251,10 +253,14 @@ def build_empirical_null(test, n, B=VERDICT_NULL_B, seed=0, *, alternative=None,
     by the spec's name and full-precision parameters (names keep 6
     significant digits, so two alternatives can print alike).  A null read
     from its file is kept in memory (see _NullMemo).  The returned
-    statistics are read-only.
+    statistics are read-only.  A build at n <= UNIFORM_ROWS_MAX_N whose
+    rows fit in one block of ROW_BLOCK_VALUES reuses the block of the
+    previous build at the same seed and n (see _RowMemo), whatever its
+    test: the rows are the same rows.
     """
     n = _sample_size(n)
     B = _positive_int(B, "B")
+    seed, _ = _check_key(seed, ())
     if test not in _BATCH:
         raise ValueError(f"unknown test identifier {test!r}")
     log_density = getattr(alternative, "log_density", None)
@@ -274,7 +280,7 @@ def build_empirical_null(test, n, B=VERDICT_NULL_B, seed=0, *, alternative=None,
     # documented stream derivation: one child stream per (seed, replicate_index),
     # the same bits either way; uniform_rows only pays off for short rows
     if n <= UNIFORM_ROWS_MAX_N:
-        draw_block = lambda lo, size: uniform_rows(seed, (), lo, size, n)
+        draw_block = lambda lo, size: _ROW_MEMO.rows(seed, n, lo, size)
     else:
         draw_block = stacked(lambda r: stream(seed, r).random(n), n)
     for lo, rows in replicate_rows(B, n, draw_block):
@@ -333,6 +339,36 @@ class _NullMemo:
 
 
 _NULL_MEMO = _NullMemo()
+
+
+class _RowMemo:
+    """The latest block of null rows drawn by uniform_rows, keyed by
+    (seed, n, lo, size).  Every test's null at one (seed, n) draws the same
+    rows, so the next build at that key (another test of a roster, the lrt
+    null of another alternative) reads the block instead of drawing it
+    again.  Only a build of one block gains: every build starts at block 0.
+    At most one block is held, the bound of ROW_BLOCK_VALUES: the old one is
+    dropped before a new one is drawn.  Builds share the rows, so they are
+    read-only; lrt nulls are built on pool threads, so a lock guards them."""
+
+    def __init__(self):
+        self._lock = threading.Lock()
+        self._key = self._rows = None
+
+    def rows(self, seed, n, lo, size):
+        key = (seed, n, lo, size)
+        with self._lock:
+            if self._key == key:
+                return self._rows
+            self._key = self._rows = None
+        rows = uniform_rows(seed, (), lo, size, n)
+        rows.setflags(write=False)
+        with self._lock:
+            self._key, self._rows = key, rows
+        return rows
+
+
+_ROW_MEMO = _RowMemo()
 
 
 def _cache_header(test, n, B, seed):

@@ -36,7 +36,7 @@ from .harness import (
     replicate_dataset,
     scenario_study,
 )
-from .pairs import _sample_size, generate_pairs
+from .pairs import _positive_int, _sample_size, generate_pairs
 from .rosenblatt import randomized_pit
 from .streams import stream
 
@@ -219,11 +219,20 @@ def _cmd_sample(args):
 def _cmd_scenarios(args):
     sampler = ScenarioSampler(args.name, args.seed)
     rows = []
-    for idx, spec in enumerate(sampler.draw_many(args.count)):
+    for idx, spec in enumerate(sampler.draw_many(_positive_int(args.count, "count"))):
         params = json.dumps(spec.parameters, sort_keys=True)
         rows.append((idx, args.name, spec.name, params))
     _write_text(args.out, _csv_lines(["index", "scenario", "distribution", "parameters"], rows))
     return 0
+
+
+def _comma_list(flag, text, convert, kind):
+    """The comma-separated values of `flag`, each through `convert`; a value
+    that does not convert is named with its flag."""
+    try:
+        return [convert(v) for v in text.split(",")]
+    except ValueError:
+        raise CliError(f"{flag} takes comma-separated {kind}, got {text!r}") from None
 
 
 def _parse_tests(raw):
@@ -235,7 +244,7 @@ def _parse_tests(raw):
 
 def _cmd_power(args):
     tests = _parse_tests(args.tests)
-    n_grid = [int(v) for v in args.n.split(",")]
+    n_grid = _comma_list("--n", args.n, int, "integers")
     reps, null_b = _resolve_counts(args)
     if args.dist in SCENARIOS:
         dist = ScenarioSampler(args.dist, args.seed).draw(0)
@@ -265,7 +274,7 @@ def _cmd_power(args):
 
 
 def _cmd_calibrate(args):
-    grid = [float(v) for v in args.grid.split(",")] if args.grid else list(CALIBRATION_GRID)
+    grid = _comma_list("--grid", args.grid, float, "numbers") if args.grid else list(CALIBRATION_GRID)
     reps, null_b = _resolve_counts(args)
     result = null_pvalue_cdf(
         args.test, args.n, reps, args.seed, grid,

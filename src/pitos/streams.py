@@ -35,7 +35,10 @@ __all__ = ["stream", "uniform_rows"]
 
 
 def _index(value):
-    """value as a Python int if it is a non-negative integer, else None."""
+    """value as a Python int if it is a non-negative integer, else None.  A
+    bool is refused: True would otherwise stand for 1."""
+    if isinstance(value, (bool, np.bool_)):
+        return None
     try:
         value = operator.index(value)
     except TypeError:

@@ -3,6 +3,7 @@ empirical-null machinery, and add-one p-value validity."""
 
 import json
 import math
+import re
 import sys
 import threading
 
@@ -249,6 +250,23 @@ class TestEmpiricalNull:
             build_empirical_null("ks", 10, B, cache_dir=cache_dir)
         assert not cache_dir.exists()
 
+    @pytest.mark.parametrize("seed", [True, np.True_, -1], ids=["True", "np.True_", "-1"])
+    def test_seed_must_be_a_non_negative_integer(self, cache_dir, seed):
+        # a bool seed once wrote ks_n10_B50_sTrue.npz, holding seed 1's null
+        message = f"^seed must be a non-negative integer, got {re.escape(repr(seed))}$"
+        for n in (10, classic.UNIFORM_ROWS_MAX_N + 1):  # both row paths
+            with pytest.raises(ValueError, match=message):
+                build_empirical_null("ks", n, 50, seed, cache_dir=cache_dir)
+        assert not cache_dir.exists()
+
+    def test_numpy_integer_seed_is_the_int_seed(self, cache_dir):
+        # the seed goes into the file's JSON header, which has no numpy ints
+        null = build_empirical_null("ks", 10, 50, np.int64(3), cache_dir=cache_dir)
+        assert type(null.seed) is int
+        assert [p.name for p in cache_dir.iterdir()] == ["ks_n10_B50_s3.npz"]
+        again = build_empirical_null("ks", 10, 50, 3, cache_dir=cache_dir / "int")
+        assert again.statistics.tobytes() == null.statistics.tobytes()
+
     def test_whole_float_null_draw_count_is_an_int(self, cache_dir):
         null = build_empirical_null("ks", 10, 20.0, cache_dir=cache_dir)
         assert type(null.B) is int and null.B == 20
@@ -399,6 +417,115 @@ class TestNullMemo:
         memo = classic._NULL_MEMO
         assert memo.nbytes == sum(null.statistics.nbytes for _, null in memo._entries.values())
         assert memo.nbytes <= 8 * B
+
+
+class TestRowMemo:
+    """Builds at one (seed, n) whose rows fit in one block draw them once:
+    the next build reads the previous build's block, with the same bytes."""
+
+    ROSTER = ("ad", "nb", "ks", "cvm")
+
+    def test_a_roster_draws_its_rows_once(self, cache_dir, row_draws):
+        for test in self.ROSTER:
+            build_empirical_null(test, 40, 300, 5, cache_dir=cache_dir)
+        assert row_draws == [(5, 40, 0, 300)]
+
+    def test_shared_rows_give_the_bytes_of_separate_draws(self, tmp_path, monkeypatch,
+                                                          row_draws):
+        shared = {t: build_empirical_null(t, 40, 300, 5, cache_dir=tmp_path / "shared")
+                  for t in self.ROSTER}
+        for test in self.ROSTER:
+            monkeypatch.setattr(classic, "_ROW_MEMO", classic._RowMemo())
+            alone = build_empirical_null(test, 40, 300, 5, cache_dir=tmp_path / "alone")
+            assert alone.statistics.tobytes() == shared[test].statistics.tobytes()
+            name = classic._cache_path(tmp_path, test, 40, 300, 5, None).name
+            assert ((tmp_path / "alone" / name).read_bytes()
+                    == (tmp_path / "shared" / name).read_bytes())
+        assert len(row_draws) == 1 + len(self.ROSTER)
+
+    @pytest.mark.parametrize("change, draws", [
+        ({"seed": 6}, [(6, 40, 0, 300)]),
+        ({"n": 41}, [(5, 41, 0, 300)]),
+        ({"B": 301}, [(5, 40, 0, 301)]),
+        ({"block": 40 * 128}, [(5, 40, 0, 128), (5, 40, 128, 128), (5, 40, 256, 44)]),
+    ])
+    def test_another_key_draws_again(self, tmp_path, monkeypatch, row_draws, change, draws):
+        build_empirical_null("ks", 40, 300, 5, cache_dir=tmp_path / "first")
+        if "block" in change:
+            monkeypatch.setattr(classic, "ROW_BLOCK_VALUES", change["block"])
+        key = {"n": 40, "B": 300, "seed": 5}
+        key.update((k, v) for k, v in change.items() if k != "block")
+        null = build_empirical_null("cvm", cache_dir=tmp_path / "second", **key)
+        assert row_draws == [(5, 40, 0, 300)] + draws
+        rows = np.array([stream(key["seed"], r).random(key["n"]) for r in range(key["B"])])
+        expected = np.sort(batch_statistics("cvm", rows))
+        assert null.statistics.tobytes() == expected.tobytes()
+
+    def test_the_old_block_is_dropped_before_the_next_draw(self, cache_dir, monkeypatch,
+                                                           row_draws):
+        draw = classic.uniform_rows
+
+        def draw_into_an_empty_memo(*args):
+            memo = classic._ROW_MEMO
+            assert memo._key is None and memo._rows is None
+            return draw(*args)
+
+        monkeypatch.setattr(classic, "uniform_rows", draw_into_an_empty_memo)
+        for k, seed in enumerate((1, 2, 1)):
+            build_empirical_null("nb", 30, 200, seed, cache_dir=cache_dir / str(k))
+        assert row_draws == [(1, 30, 0, 200), (2, 30, 0, 200), (1, 30, 0, 200)]
+        assert classic._ROW_MEMO._key == (1, 30, 0, 200)
+
+    def test_memo_rows_refuse_writes(self, cache_dir, row_draws):
+        build_empirical_null("ad", 20, 100, 3, cache_dir=cache_dir)
+        rows = classic._ROW_MEMO.rows(3, 20, 0, 100)
+        assert row_draws == [(3, 20, 0, 100)]  # the build's block
+        with pytest.raises(ValueError, match="read-only"):
+            rows[0, 0] = 0.5
+
+    def test_concurrent_builders_get_identical_bytes(self, tmp_path, monkeypatch, row_draws):
+        # 8 builders released together, over lrt and classical nulls at two
+        # keys, so draws, hits and drops interleave; every build is a miss
+        # (each has a cache directory of its own), so each reads the memo
+        builders, rounds, B = 8, 6, 300
+        nulls = [("ks", None), ("lrt", zoo_lookup("gap(0.5,0.05)")),
+                 ("cvm", None), ("lrt", zoo_lookup("beta(2,1)"))]
+
+        def build(test, alternative, n, where):
+            null = build_empirical_null(test, n, B, 9, alternative=alternative,
+                                        cache_dir=tmp_path / where)
+            return (test, getattr(alternative, "name", None), n), null
+
+        expected = {}
+        for test, alternative in nulls:
+            for n in (30, 31):
+                monkeypatch.setattr(classic, "_ROW_MEMO", classic._RowMemo())
+                key, null = build(test, alternative, n, "reference")
+                expected[key] = null.statistics.tobytes()
+        barrier = threading.Barrier(builders, timeout=30)
+        seen = [[] for _ in range(builders)]
+
+        def run(w):
+            barrier.wait()
+            for k in range(rounds):
+                key, null = build(*nulls[(k + w) % len(nulls)], (30, 31)[(k + w // 2) % 2],
+                                  f"w{w}-{k}")
+                seen[w].append((key, null.statistics.tobytes()))
+
+        threads = [threading.Thread(target=run, args=(w,)) for w in range(builders)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert all(len(s) == rounds for s in seen)
+        assert all(got == expected[key] for s in seen for key, got in s)
+        assert classic._ROW_MEMO._key in {(9, n, 0, B) for n in (30, 31)}
 
 
 class TestEmpiricalPValue:

@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from pitos import cli
+from pitos import classic, cli
 from pitos.cli import build_parser, main, read_values
 from pitos.distributions import zoo_lookup
 from pitos.harness import replicate_dataset
@@ -304,6 +304,29 @@ class TestTabularSubcommands:
         sidecar = json.loads((tmp_path / "study.csv.meta.json").read_text())
         assert len(sidecar["distributions"]) == 3
 
+    def test_study_bytes_do_not_depend_on_shared_null_rows(self, tmp_path, capsys, monkeypatch,
+                                                           row_draws):
+        # the lrt nulls are built in the jobs, on pool threads; ad's in set-up
+        def study(where):
+            out_csv = tmp_path / f"{where}.csv"
+            code, _, err = run_cli(
+                ["study", "--scenario", "random-gap", "--dists", "3", "--reps", "20",
+                 "--n", "20", "--tests", "pitos,ad,lrt", "--null-b", "200", "--seed", "4",
+                 "--threads", "2", "--cache-dir", str(tmp_path / where), "--out", str(out_csv)],
+                capsys,
+            )
+            assert (code, err) == (0, "")
+            return out_csv.read_bytes()
+
+        cleared = study("cleared")
+        assert row_draws[0] == (4, 20, 0, 200)
+        drawn = len(row_draws)
+        warm = study("warm")  # new cache directory: every null is built again
+        assert len(row_draws) == drawn  # from the block the memo kept
+        assert warm == cleared
+        monkeypatch.setattr(classic, "_ROW_MEMO", classic._RowMemo())
+        assert study("cleared-again") == cleared
+
     def test_paper_scale_changes_defaults_in_sidecar(self, tmp_path, capsys, cache_dir):
         out_csv = tmp_path / "cal.csv"
         code, _, _ = run_cli(
@@ -401,6 +424,31 @@ class TestTabularSubcommands:
         assert code == 2 and out == ""
         assert err == f"error: sample size must be a positive integer, got {n}\n"
         assert not out_file.exists()
+
+    @pytest.mark.parametrize("count", ["0", "-1"])
+    def test_scenarios_rejects_counts_below_one(self, tmp_path, capsys, count):
+        out_file = tmp_path / "scenarios.csv"
+        code, out, err = run_cli(
+            ["scenarios", "--name", "random-gap", "--count", count, "--out", str(out_file)], capsys)
+        assert (code, out) == (2, "")
+        assert err == f"error: count must be a positive integer, got {count}\n"
+        assert not out_file.exists()
+
+    @pytest.mark.parametrize("command, message", [
+        (["power", "--dist", "uniform", "--n", "10,abc"],
+         "--n takes comma-separated integers, got '10,abc'"),
+        (["calibrate", "--n", "10", "--grid", "0.1,x"],
+         "--grid takes comma-separated numbers, got '0.1,x'"),
+    ], ids=["power-n", "calibrate-grid"])
+    def test_comma_list_flags_name_a_value_that_does_not_parse(self, tmp_path, capsys,
+                                                               command, message):
+        code, out, err = run_cli(
+            command + ["--reps", "4", "--null-b", "20", "--cache-dir", str(tmp_path / "cache"),
+                       "--out", str(tmp_path / "out.csv")],
+            capsys,
+        )
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+        assert not any(tmp_path.iterdir())  # no CSV, no cache directory
 
     @pytest.mark.parametrize("threads", ["0", "-2"])
     @pytest.mark.parametrize("command", [

@@ -47,7 +47,8 @@ def test_keys_of_two_words_are_refused():
         uniform_rows(0, (), 0, 2**32 + 1, 2)
 
 
-@pytest.mark.parametrize("seed", [-1, 1.5, "3", None])
+# a bool is refused: True would key the streams of seed 1
+@pytest.mark.parametrize("seed", [-1, 1.5, "3", None, True, np.True_])
 def test_bad_seed_is_named(seed):
     message = f"^seed must be a non-negative integer, got {re.escape(repr(seed))}$"
     with pytest.raises(ValueError, match=message):
@@ -56,7 +57,7 @@ def test_bad_seed_is_named(seed):
         uniform_rows(seed, (), 0, 1, 1)
 
 
-@pytest.mark.parametrize("path", [(-1,), (0, 2.5)])
+@pytest.mark.parametrize("path", [(-1,), (0, 2.5), (3, True)])
 def test_bad_path_is_named(path):
     with pytest.raises(ValueError, match="^stream path must be non-negative integers"):
         stream(0, *path)
