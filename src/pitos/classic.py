@@ -15,9 +15,9 @@ against B simulated null statistics, which are cached on disk keyed by
 (test, n, B, seed); a cache file of another NULL_CACHE_VERSION is rebuilt.
 A null read from a file is kept in memory and served again, without
 opening the file, while the file's identity (device, inode, size, mtime,
-ctime) stays the same.  A build whose rows fit in one block reuses the row
-block of the previous build at the same seed and n, so the nulls of a
-roster draw their rows once.
+ctime) stays the same.  Every null at one seed and n, of any test, is
+computed from the same rows: replicate r's sample is values r*n ...
+(r+1)*n - 1 of the stream (seed, NULL_ROWS, n).
 """
 
 import hashlib
@@ -36,7 +36,7 @@ import numpy as np
 
 from .core import OrderedSample, TestVerdict
 from .pairs import _positive_int, _sample_size
-from .streams import _check_key, stream, uniform_rows
+from .streams import NULL_ROWS, _check_key, stream
 
 __all__ = [
     "EmpiricalNull",
@@ -59,7 +59,7 @@ CLASSIC_TESTS = ("ad", "nb", "ks", "cvm")
 VERDICT_NULL_B = 100_000  # null draws behind a single verdict's p-value
 # Written into every cache file's header; a file with another or no version
 # is rebuilt.  Bump it whenever a statistic or the stored layout changes.
-NULL_CACHE_VERSION = 1
+NULL_CACHE_VERSION = 2
 CACHE_ENV_VAR = "PITOS_CACHE_DIR"
 # Row-batched work (a null build, a study's replicates) holds at most this
 # many sample values at once.
@@ -68,14 +68,6 @@ ROW_BLOCK_VALUES = 1 << 21
 # statistics (20 verdict nulls of VERDICT_NULL_B); the least recently used
 # go first.
 NULL_MEMO_BYTES = 1 << 24
-# Null builds at or below this n draw their rows with streams.uniform_rows,
-# above it with one stream() per replicate; both give the same bits.  Rows
-# of a B = 20k build, best of 5 (2 cores, numpy 2.4): uniform_rows was 9.5x
-# faster at n = 100, 2.2x at 500, 1.4x at 700, 1.2x at 800 and 0.9x at 900,
-# where one-column numpy calls on ~2k-row blocks cost more than the
-# Generators they replace.  500 keeps a 2x margin.  (A build of B < ~1000
-# rows at n near 500 can lose a few ms.)
-UNIFORM_ROWS_MAX_N = 500
 
 _SQRT3 = math.sqrt(3.0)
 _SQRT5 = math.sqrt(5.0)
@@ -245,18 +237,17 @@ def _cache_path(cache_dir, test, n, B, seed, alternative):
 def build_empirical_null(test, n, B=VERDICT_NULL_B, seed=0, *, alternative=None, cache_dir=None):
     """B null statistics from i.i.d. Uniform(0,1) samples of size n, sorted.
 
-    Deterministic given the seed: replicate r draws its sample from the
-    stream derived from (seed, r), so the result is identical no matter how
-    replicates are scheduled.  Results are cached on disk keyed by
+    Deterministic given the seed: one stream, (seed, NULL_ROWS, n), is drawn
+    in order, replicate r taking its values r*n ... (r+1)*n - 1, so the
+    result depends neither on the block size nor on the thread count, and
+    every test's null at one seed and n sees the same samples.  Results are
+    cached on disk keyed by
     (test, n, B, seed).  The lrt null also needs `alternative`, the
     DistributionSpec whose log-density it sums; its file is further keyed
     by the spec's name and full-precision parameters (names keep 6
     significant digits, so two alternatives can print alike).  A null read
     from its file is kept in memory (see _NullMemo).  The returned
-    statistics are read-only.  A build at n <= UNIFORM_ROWS_MAX_N whose
-    rows fit in one block of ROW_BLOCK_VALUES reuses the block of the
-    previous build at the same seed and n (see _RowMemo), whatever its
-    test: the rows are the same rows.
+    statistics are read-only.
     """
     n = _sample_size(n)
     B = _positive_int(B, "B")
@@ -277,13 +268,8 @@ def build_empirical_null(test, n, B=VERDICT_NULL_B, seed=0, *, alternative=None,
         return cached
 
     stats = np.empty(B)
-    # documented stream derivation: one child stream per (seed, replicate_index),
-    # the same bits either way; uniform_rows only pays off for short rows
-    if n <= UNIFORM_ROWS_MAX_N:
-        draw_block = lambda lo, size: _ROW_MEMO.rows(seed, n, lo, size)
-    else:
-        draw_block = stacked(lambda r: stream(seed, r).random(n), n)
-    for lo, rows in replicate_rows(B, n, draw_block):
+    rng = stream(seed, NULL_ROWS, n)  # replicate_rows asks for its blocks in order
+    for lo, rows in replicate_rows(B, n, lambda lo, size: rng.random((size, n))):
         stats[lo : lo + len(rows)] = batch_statistics(test, rows, log_density=log_density)
     nan_count = int(np.isnan(stats).sum())
     if nan_count:
@@ -339,36 +325,6 @@ class _NullMemo:
 
 
 _NULL_MEMO = _NullMemo()
-
-
-class _RowMemo:
-    """The latest block of null rows drawn by uniform_rows, keyed by
-    (seed, n, lo, size).  Every test's null at one (seed, n) draws the same
-    rows, so the next build at that key (another test of a roster, the lrt
-    null of another alternative) reads the block instead of drawing it
-    again.  Only a build of one block gains: every build starts at block 0.
-    At most one block is held, the bound of ROW_BLOCK_VALUES: the old one is
-    dropped before a new one is drawn.  Builds share the rows, so they are
-    read-only; lrt nulls are built on pool threads, so a lock guards them."""
-
-    def __init__(self):
-        self._lock = threading.Lock()
-        self._key = self._rows = None
-
-    def rows(self, seed, n, lo, size):
-        key = (seed, n, lo, size)
-        with self._lock:
-            if self._key == key:
-                return self._rows
-            self._key = self._rows = None
-        rows = uniform_rows(seed, (), lo, size, n)
-        rows.setflags(write=False)
-        with self._lock:
-            self._key, self._rows = key, rows
-        return rows
-
-
-_ROW_MEMO = _RowMemo()
 
 
 def _cache_header(test, n, B, seed):

@@ -21,7 +21,7 @@ from .classic import (CLASSIC_TESTS, batch_statistics, build_empirical_null, emp
                       replicate_rows, stacked)
 from .core import _available_cores, corrected_p_value, pitos_p_value, thread_map
 from .distributions import DistributionSpec, ScenarioSampler, scenario_code, zoo_lookup
-from .pairs import generate_pairs, random_pairs
+from .pairs import _positive_int, _sample_size, generate_pairs, random_pairs
 from .streams import stream
 
 __all__ = [
@@ -177,10 +177,8 @@ def _power_reports(jobs, tests, alpha, replicates, seed, null_b, cache_dir, pair
     """
     if not (0.0 < alpha < 1.0):
         raise ValueError("alpha must lie strictly inside (0, 1)")
-    if replicates < 1:
-        raise ValueError("replicates must be >= 1")
-    if threads < 1:
-        raise ValueError(f"threads must be >= 1, got {threads}")
+    replicates = _positive_int(replicates, "replicates")
+    threads = _positive_int(threads, "threads")
     tests = _normalize_tests(tests)
     resolved = {n: _resolve_roster(tests, n, seed, null_b, cache_dir, pair_seed)
                 for n in dict.fromkeys(job[1] for job in jobs)}
@@ -203,7 +201,7 @@ def _power_reports(jobs, tests, alpha, replicates, seed, null_b, cache_dir, pair
             n=n,
             alpha=float(alpha),
             rejection_rate=rates,
-            replicates=int(replicates),
+            replicates=replicates,
             mc_std_err={t: float(np.sqrt(r * (1.0 - r) / replicates)) for t, r in rates.items()},
             seed=int(seed),
         )
@@ -232,7 +230,7 @@ def estimate_power(
     random-uniform pair source (seeded); leave None for the default
     low-discrepancy sequence.
     """
-    job = (_resolve_dist(dist), int(n), 0, 0)
+    job = (_resolve_dist(dist), _sample_size(n), 0, 0)
     return _power_reports([job], tests, alpha, replicates, seed, null_b, cache_dir, pair_seed)[0]
 
 
@@ -251,7 +249,7 @@ def power_curve(
 ):
     """estimate_power at each n in the grid; grid point g uses dist_index g."""
     dist = _resolve_dist(dist)
-    jobs = [(dist, int(n), 0, g) for g, n in enumerate(n_grid)]
+    jobs = [(dist, _sample_size(n), 0, g) for g, n in enumerate(n_grid)]
     return _power_reports(jobs, tests, alpha, replicates, seed, null_b, cache_dir, pair_seed, threads)
 
 
@@ -271,13 +269,14 @@ def scenario_study(
 ):
     """Draw distributions from a scenario, estimate per-test power on each,
     and aggregate rank frequencies and average power."""
-    if num_distributions < 1 or replicates_per_distribution < 1:
-        raise ValueError("counts must be >= 1")
+    num_distributions = _positive_int(num_distributions, "num_distributions")
+    replicates_per_distribution = _positive_int(replicates_per_distribution, "replicates")
+    n = _sample_size(n)
     tests = _normalize_tests(tests)
     code = scenario_code(scenario)
     dists = ScenarioSampler(scenario, seed).draw_many(num_distributions)
     reports = _power_reports(
-        [(dist, int(n), code, d) for d, dist in enumerate(dists)],
+        [(dist, n, code, d) for d, dist in enumerate(dists)],
         tests, alpha, replicates_per_distribution, seed, null_b, cache_dir, pair_seed, threads,
     )
 
@@ -291,9 +290,9 @@ def scenario_study(
         tests=tests,
         rank_freq=rank_freq,
         avg_power={t: float(power[:, k].mean()) for k, t in enumerate(tests)},
-        num_distributions=int(num_distributions),
-        replicates_per_distribution=int(replicates_per_distribution),
-        n=int(n),
+        num_distributions=num_distributions,
+        replicates_per_distribution=replicates_per_distribution,
+        n=n,
         alpha=float(alpha),
         seed=int(seed),
         reports=reports,
@@ -372,8 +371,8 @@ def null_pitos_pvalues(n, replicates, seed, *, pair_seed=None):
 
 def _null_pvalues(test, n, replicates, seed, null_b, cache_dir, pair_seed):
     """One test's p-values (uncorrected for pitos) on Uniform(0,1) replicates."""
-    if replicates < 1:
-        raise ValueError("replicates must be >= 1")
+    n = _sample_size(n)
+    replicates = _positive_int(replicates, "replicates")
     pairs, nulls = _resolve_roster((test,), n, seed, null_b, cache_dir, pair_seed)
     uniform = zoo_lookup("uniform")
     return _pvalue_matrix(uniform, (test,), n, replicates, seed, 0, 0, pairs, nulls)[0]

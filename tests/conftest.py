@@ -110,20 +110,3 @@ def pool_sizes(monkeypatch):
     monkeypatch.setattr(core, "ThreadPoolExecutor", RecordingPool)
     return sizes
 
-
-@pytest.fixture()
-def row_draws(monkeypatch):
-    """An empty classic._ROW_MEMO for the test, and the (seed, n, lo, size)
-    of every block of null rows drawn by uniform_rows from then on."""
-    from pitos import classic
-
-    monkeypatch.setattr(classic, "_ROW_MEMO", classic._RowMemo())
-    draws = []
-    draw = classic.uniform_rows
-
-    def counted(seed, prefix, first, count, n):
-        draws.append((seed, n, first, count))
-        return draw(seed, prefix, first, count, n)
-
-    monkeypatch.setattr(classic, "uniform_rows", counted)
-    return draws

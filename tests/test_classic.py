@@ -24,7 +24,7 @@ from pitos.classic import (
     nb_statistic,
 )
 from pitos.distributions import DistributionSpec, zoo_lookup
-from pitos.streams import stream
+from pitos.streams import NULL_ROWS, stream
 
 
 def _alternative(name, log_density):
@@ -189,8 +189,8 @@ class TestEmpiricalNull:
     @pytest.mark.parametrize("test", ["ad", "nb", "ks", "cvm", "lrt"])
     def test_both_row_paths_match_a_per_stream_reference(self, tmp_path, monkeypatch, test,
                                                          ragged):
-        # rows come from uniform_rows up to UNIFORM_ROWS_MAX_N and from one
-        # stream() per replicate above it: the same statistics, the same file
+        # the rows of one block, or of ragged blocks, are the first B*n values
+        # of the null's one stream: the same statistics, the same file
         B, seed = 60, 11
         alternative = None
         if test == "lrt":
@@ -198,20 +198,36 @@ class TestEmpiricalNull:
         log_density = getattr(alternative, "log_density", None)
         calls = []
         monkeypatch.setattr(classic, "stream", lambda *key: calls.append(key) or stream(*key))
-        for n in (classic.UNIFORM_ROWS_MAX_N, classic.UNIFORM_ROWS_MAX_N + 1):
+        for n in (10, 500, 501, 3000):
             if ragged:
                 monkeypatch.setattr(classic, "ROW_BLOCK_VALUES", 7 * n)  # 8 blocks of 7, then 4
-            rows = np.array([stream(seed, r).random(n) for r in range(B)])
+            rows = stream(seed, NULL_ROWS, n).random((B, n))
             expected = np.sort(batch_statistics(test, rows, log_density=log_density))
             calls.clear()
             null = build_empirical_null(test, n, B, seed, alternative=alternative,
                                         cache_dir=tmp_path / "built")
-            assert len(calls) == (0 if n <= classic.UNIFORM_ROWS_MAX_N else B)
+            assert calls == [(seed, NULL_ROWS, n)]
             assert null.statistics.tobytes() == expected.tobytes()
             built = classic._cache_path(tmp_path / "built", test, n, B, seed, alternative)
             reference = tmp_path / "reference" / built.name
             classic._store_null(reference, EmpiricalNull(test, n, expected, B, seed))
             assert built.read_bytes() == reference.read_bytes()
+
+    def test_null_rows_are_not_the_random_pair_source(self, cache_dir, monkeypatch):
+        # the random-pair source is stream (seed, 0xA17); null replicate 2583
+        # (0xA17) once drew from that same stream
+        rows = []
+        statistics = classic.batch_statistics
+
+        def recorded(test, block, **kw):
+            rows.append(block)
+            return statistics(test, block, **kw)
+
+        monkeypatch.setattr(classic, "batch_statistics", recorded)
+        build_empirical_null("ks", 5, 2584, 9, cache_dir=cache_dir)
+        replicate = np.concatenate(rows)[0xA17]
+        assert replicate.tobytes() == stream(9, NULL_ROWS, 5).random((2584, 5))[-1].tobytes()
+        assert not np.any(np.isin(replicate, stream(9, 0xA17).random(5)))
 
     def test_lrt_needs_density_and_label_separates_cache(self, cache_dir):
         # the label is composed from the alternative's name and parameters
@@ -239,7 +255,7 @@ class TestEmpiricalNull:
 
     def test_nan_null_statistics_are_named_and_not_cached(self, cache_dir):
         below_half_is_nan = _alternative("nan", lambda x: np.where(np.asarray(x) < 0.5, np.nan, 0.0))
-        with pytest.raises(ValueError, match=r"^lrt null at n=1: 22/50 statistics are NaN$"):
+        with pytest.raises(ValueError, match=r"^lrt null at n=1: 20/50 statistics are NaN$"):
             build_empirical_null("lrt", 1, B=50, seed=0, alternative=below_half_is_nan,
                                  cache_dir=cache_dir)
         assert not cache_dir.exists()
@@ -254,9 +270,8 @@ class TestEmpiricalNull:
     def test_seed_must_be_a_non_negative_integer(self, cache_dir, seed):
         # a bool seed once wrote ks_n10_B50_sTrue.npz, holding seed 1's null
         message = f"^seed must be a non-negative integer, got {re.escape(repr(seed))}$"
-        for n in (10, classic.UNIFORM_ROWS_MAX_N + 1):  # both row paths
-            with pytest.raises(ValueError, match=message):
-                build_empirical_null("ks", n, 50, seed, cache_dir=cache_dir)
+        with pytest.raises(ValueError, match=message):
+            build_empirical_null("ks", 10, 50, seed, cache_dir=cache_dir)
         assert not cache_dir.exists()
 
     def test_numpy_integer_seed_is_the_int_seed(self, cache_dir):
@@ -358,6 +373,21 @@ class TestNullMemo:
         assert again.statistics.tobytes() == first.statistics.tobytes()
         assert path.read_bytes() == whole
 
+    def test_a_version_1_file_is_rebuilt(self, cache_dir, loads):
+        # version 1 drew replicate r from the stream (seed, r): other statistics
+        first = build_empirical_null("ks", 14, B=250, seed=3, cache_dir=cache_dir)
+        (path,) = cache_dir.glob("*.npz")
+        whole = path.read_bytes()
+        old_rows = np.array([stream(3, r).random(14) for r in range(250)])
+        old = np.sort(batch_statistics("ks", old_rows))
+        header = dict(classic._cache_header("ks", 14, 250, 3), version=1)
+        np.savez(path, header=np.array(json.dumps(header)), statistics=old)  # in place
+        again = build_empirical_null("ks", 14, B=250, seed=3, cache_dir=cache_dir)
+        assert loads == [path]
+        assert classic.NULL_CACHE_VERSION == 2
+        assert again.statistics.tobytes() == first.statistics.tobytes() != old.tobytes()
+        assert path.read_bytes() == whole
+
     def test_the_byte_bound_evicts_the_least_recently_used(self, cache_dir, loads, monkeypatch):
         B = 100
         monkeypatch.setattr(classic, "NULL_MEMO_BYTES", 2 * 8 * B)  # two nulls' statistics
@@ -417,115 +447,6 @@ class TestNullMemo:
         memo = classic._NULL_MEMO
         assert memo.nbytes == sum(null.statistics.nbytes for _, null in memo._entries.values())
         assert memo.nbytes <= 8 * B
-
-
-class TestRowMemo:
-    """Builds at one (seed, n) whose rows fit in one block draw them once:
-    the next build reads the previous build's block, with the same bytes."""
-
-    ROSTER = ("ad", "nb", "ks", "cvm")
-
-    def test_a_roster_draws_its_rows_once(self, cache_dir, row_draws):
-        for test in self.ROSTER:
-            build_empirical_null(test, 40, 300, 5, cache_dir=cache_dir)
-        assert row_draws == [(5, 40, 0, 300)]
-
-    def test_shared_rows_give_the_bytes_of_separate_draws(self, tmp_path, monkeypatch,
-                                                          row_draws):
-        shared = {t: build_empirical_null(t, 40, 300, 5, cache_dir=tmp_path / "shared")
-                  for t in self.ROSTER}
-        for test in self.ROSTER:
-            monkeypatch.setattr(classic, "_ROW_MEMO", classic._RowMemo())
-            alone = build_empirical_null(test, 40, 300, 5, cache_dir=tmp_path / "alone")
-            assert alone.statistics.tobytes() == shared[test].statistics.tobytes()
-            name = classic._cache_path(tmp_path, test, 40, 300, 5, None).name
-            assert ((tmp_path / "alone" / name).read_bytes()
-                    == (tmp_path / "shared" / name).read_bytes())
-        assert len(row_draws) == 1 + len(self.ROSTER)
-
-    @pytest.mark.parametrize("change, draws", [
-        ({"seed": 6}, [(6, 40, 0, 300)]),
-        ({"n": 41}, [(5, 41, 0, 300)]),
-        ({"B": 301}, [(5, 40, 0, 301)]),
-        ({"block": 40 * 128}, [(5, 40, 0, 128), (5, 40, 128, 128), (5, 40, 256, 44)]),
-    ])
-    def test_another_key_draws_again(self, tmp_path, monkeypatch, row_draws, change, draws):
-        build_empirical_null("ks", 40, 300, 5, cache_dir=tmp_path / "first")
-        if "block" in change:
-            monkeypatch.setattr(classic, "ROW_BLOCK_VALUES", change["block"])
-        key = {"n": 40, "B": 300, "seed": 5}
-        key.update((k, v) for k, v in change.items() if k != "block")
-        null = build_empirical_null("cvm", cache_dir=tmp_path / "second", **key)
-        assert row_draws == [(5, 40, 0, 300)] + draws
-        rows = np.array([stream(key["seed"], r).random(key["n"]) for r in range(key["B"])])
-        expected = np.sort(batch_statistics("cvm", rows))
-        assert null.statistics.tobytes() == expected.tobytes()
-
-    def test_the_old_block_is_dropped_before_the_next_draw(self, cache_dir, monkeypatch,
-                                                           row_draws):
-        draw = classic.uniform_rows
-
-        def draw_into_an_empty_memo(*args):
-            memo = classic._ROW_MEMO
-            assert memo._key is None and memo._rows is None
-            return draw(*args)
-
-        monkeypatch.setattr(classic, "uniform_rows", draw_into_an_empty_memo)
-        for k, seed in enumerate((1, 2, 1)):
-            build_empirical_null("nb", 30, 200, seed, cache_dir=cache_dir / str(k))
-        assert row_draws == [(1, 30, 0, 200), (2, 30, 0, 200), (1, 30, 0, 200)]
-        assert classic._ROW_MEMO._key == (1, 30, 0, 200)
-
-    def test_memo_rows_refuse_writes(self, cache_dir, row_draws):
-        build_empirical_null("ad", 20, 100, 3, cache_dir=cache_dir)
-        rows = classic._ROW_MEMO.rows(3, 20, 0, 100)
-        assert row_draws == [(3, 20, 0, 100)]  # the build's block
-        with pytest.raises(ValueError, match="read-only"):
-            rows[0, 0] = 0.5
-
-    def test_concurrent_builders_get_identical_bytes(self, tmp_path, monkeypatch, row_draws):
-        # 8 builders released together, over lrt and classical nulls at two
-        # keys, so draws, hits and drops interleave; every build is a miss
-        # (each has a cache directory of its own), so each reads the memo
-        builders, rounds, B = 8, 6, 300
-        nulls = [("ks", None), ("lrt", zoo_lookup("gap(0.5,0.05)")),
-                 ("cvm", None), ("lrt", zoo_lookup("beta(2,1)"))]
-
-        def build(test, alternative, n, where):
-            null = build_empirical_null(test, n, B, 9, alternative=alternative,
-                                        cache_dir=tmp_path / where)
-            return (test, getattr(alternative, "name", None), n), null
-
-        expected = {}
-        for test, alternative in nulls:
-            for n in (30, 31):
-                monkeypatch.setattr(classic, "_ROW_MEMO", classic._RowMemo())
-                key, null = build(test, alternative, n, "reference")
-                expected[key] = null.statistics.tobytes()
-        barrier = threading.Barrier(builders, timeout=30)
-        seen = [[] for _ in range(builders)]
-
-        def run(w):
-            barrier.wait()
-            for k in range(rounds):
-                key, null = build(*nulls[(k + w) % len(nulls)], (30, 31)[(k + w // 2) % 2],
-                                  f"w{w}-{k}")
-                seen[w].append((key, null.statistics.tobytes()))
-
-        threads = [threading.Thread(target=run, args=(w,)) for w in range(builders)]
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            for t in threads:
-                t.start()
-            for t in threads:
-                t.join(timeout=60)
-        finally:
-            sys.setswitchinterval(interval)
-        assert not any(t.is_alive() for t in threads)
-        assert all(len(s) == rounds for s in seen)
-        assert all(got == expected[key] for s in seen for key, got in s)
-        assert classic._ROW_MEMO._key in {(9, n, 0, B) for n in (30, 31)}
 
 
 class TestEmpiricalPValue:

@@ -304,29 +304,6 @@ class TestTabularSubcommands:
         sidecar = json.loads((tmp_path / "study.csv.meta.json").read_text())
         assert len(sidecar["distributions"]) == 3
 
-    def test_study_bytes_do_not_depend_on_shared_null_rows(self, tmp_path, capsys, monkeypatch,
-                                                           row_draws):
-        # the lrt nulls are built in the jobs, on pool threads; ad's in set-up
-        def study(where):
-            out_csv = tmp_path / f"{where}.csv"
-            code, _, err = run_cli(
-                ["study", "--scenario", "random-gap", "--dists", "3", "--reps", "20",
-                 "--n", "20", "--tests", "pitos,ad,lrt", "--null-b", "200", "--seed", "4",
-                 "--threads", "2", "--cache-dir", str(tmp_path / where), "--out", str(out_csv)],
-                capsys,
-            )
-            assert (code, err) == (0, "")
-            return out_csv.read_bytes()
-
-        cleared = study("cleared")
-        assert row_draws[0] == (4, 20, 0, 200)
-        drawn = len(row_draws)
-        warm = study("warm")  # new cache directory: every null is built again
-        assert len(row_draws) == drawn  # from the block the memo kept
-        assert warm == cleared
-        monkeypatch.setattr(classic, "_ROW_MEMO", classic._RowMemo())
-        assert study("cleared-again") == cleared
-
     def test_paper_scale_changes_defaults_in_sidecar(self, tmp_path, capsys, cache_dir):
         out_csv = tmp_path / "cal.csv"
         code, _, _ = run_cli(
@@ -385,7 +362,7 @@ class TestTabularSubcommands:
             capsys,
         )
         assert code == 2 and out == ""
-        assert err == "error: replicates must be >= 1\n"
+        assert err == f"error: replicates must be a positive integer, got {reps}\n"
         assert not out_csv.exists()
 
     @pytest.mark.parametrize("command", [
@@ -399,7 +376,7 @@ class TestTabularSubcommands:
             capsys,
         )
         assert code == 2 and out == ""
-        assert err == "error: replicates must be >= 1\n"
+        assert err == "error: replicates must be a positive integer, got 0\n"
         assert not cache.exists()
 
     @pytest.mark.parametrize("argv", [
@@ -462,7 +439,7 @@ class TestTabularSubcommands:
             capsys,
         )
         assert code == 2 and out == ""
-        assert err == f"error: threads must be >= 1, got {threads}\n"
+        assert err == f"error: threads must be a positive integer, got {threads}\n"
         assert not any(tmp_path.iterdir())  # no CSV, no cache directory
 
     @pytest.mark.parametrize("argv", [
@@ -484,27 +461,29 @@ class TestTabularSubcommands:
 
 # md5 of stdout, the --out CSV (or --emit-detail CSV) and the sidecar,
 # each frozen from the implementation before the code it covers was reworked
-# (power_lrt_threads: before studies resolved their nulls once per n);
+# (power_lrt_threads: before studies resolved their nulls once per n); the
+# CSVs of the power, calibrate_ks and study entries were re-captured when each
+# empirical null came to draw its rows from one stream per (seed, n);
 # {out}, {cache} and {data} are filled per run.
 FROZEN_CLI = {
     "power": (
         ["power", "--dist", "uniform", "--tests", "pitos,ks", "--n", "10,20", "--reps", "50",
          "--null-b", "200", "--seed", "2", "--out", "{out}", "--cache-dir", "{cache}"],
-        ("d41d8cd98f00b204e9800998ecf8427e", "e3cfcd0e8ec8bad0d98e0caeddcbe373",
+        ("d41d8cd98f00b204e9800998ecf8427e", "6cf814c0eda3e574f17674d4f4fd1fb5",
          "bcb45c5091eaf9fd3a24848b592ba4e4"),
     ),
     "power_random_pairs": (
         ["power", "--dist", "uniform", "--tests", "pitos,ks", "--n", "10,20", "--reps", "40",
          "--null-b", "200", "--seed", "2", "--random-pair-seed", "9", "--out", "{out}",
          "--cache-dir", "{cache}"],
-        ("d41d8cd98f00b204e9800998ecf8427e", "2b282650fd68203c145b59331dc6a026",
+        ("d41d8cd98f00b204e9800998ecf8427e", "87f9ddae7861c37ed54340812de3e85d",
          "77dfcfe53467f4baa47cf7479799286d"),
     ),
     "power_lrt_threads": (
         ["power", "--dist", "gap(0.5,0.05)", "--tests", "pitos,ks,lrt", "--n", "12,20",
          "--reps", "40", "--null-b", "200", "--seed", "2", "--threads", "2", "--out", "{out}",
          "--cache-dir", "{cache}"],
-        ("d41d8cd98f00b204e9800998ecf8427e", "d49f2c3c4ddcd8654e04cf229bd6e774",
+        ("d41d8cd98f00b204e9800998ecf8427e", "c709078bba0d488a182731bbae9cee77",
          "efb9c4591dbe73169f76cfcc4706babc"),
     ),
     "calibrate_pitos": (
@@ -517,14 +496,14 @@ FROZEN_CLI = {
         ["calibrate", "--test", "ks", "--n", "8", "--reps", "50", "--paper-scale",
          "--null-b", "100", "--grid", "0.5", "--seed", "1", "--out", "{out}",
          "--cache-dir", "{cache}"],
-        ("d41d8cd98f00b204e9800998ecf8427e", "f47b9a9cc9e309b9ee4616181cf61709",
+        ("d41d8cd98f00b204e9800998ecf8427e", "a0a0b4396ad6b8dd72958137dffabc35",
          "e96c1b90ec3a2d326253bdb94a4fa033"),
     ),
     "study": (
         ["study", "--scenario", "outliers", "--dists", "3", "--reps", "30", "--n", "15",
          "--tests", "pitos,ks", "--null-b", "200", "--seed", "5", "--out", "{out}",
          "--cache-dir", "{cache}"],
-        ("d41d8cd98f00b204e9800998ecf8427e", "c57a979b13cf4175e4f211519209a818",
+        ("d41d8cd98f00b204e9800998ecf8427e", "9f4fe96e799860cc5c1715d31afdba78",
          "693f5e507fe5d4ae52f5c37dea247f8b"),
     ),
     "test_pitos_detail": (

@@ -204,9 +204,9 @@ class TestReplicateUnits:
         scenario_study("outliers", 3, 10, 20, **kw, threads=1)
         assert pool_sizes == [2, 2, 2]  # one units' pool per job
 
-    @pytest.mark.parametrize("threads", [0, -2])
+    @pytest.mark.parametrize("threads", [0, -2, 1.5, True])
     def test_thread_counts_below_one_are_refused(self, cache_dir, threads):
-        message = f"^threads must be >= 1, got {threads}$"
+        message = f"^threads must be a positive integer, got {threads}$"
         with pytest.raises(ValueError, match=message):
             power_curve("uniform", "ks", [8], replicates=4, null_b=20, cache_dir=cache_dir,
                         threads=threads)
@@ -214,6 +214,53 @@ class TestReplicateUnits:
             scenario_study("outliers", 2, 4, 8, tests=("ks",), null_b=20, cache_dir=cache_dir,
                            threads=threads)
         assert not cache_dir.exists()  # refused before any null is built
+
+
+class TestCounts:
+    """n, replicates and num_distributions are whole numbers >= 1 and not
+    bools, checked before any null is built; 2.5 is not rounded to 2, and
+    True does not stand for 1."""
+
+    @staticmethod
+    def calls(cache_dir, n=8, replicates=4, num_distributions=2):
+        kw = dict(null_b=20, cache_dir=cache_dir)
+        return [
+            lambda: estimate_power("uniform", "ks", n, replicates=replicates, **kw),
+            lambda: power_curve("uniform", "ks", [8, n], replicates=replicates, **kw),
+            lambda: scenario_study("outliers", num_distributions, replicates, n,
+                                   tests=("ks",), **kw),
+            lambda: null_pvalue_cdf("ks", n, replicates, 0, [0.5], **kw),
+        ]
+
+    @pytest.mark.parametrize("n", [2.5, True, 0])
+    def test_sample_size(self, cache_dir, n):
+        for call in self.calls(cache_dir, n=n):
+            with pytest.raises(ValueError, match=f"^sample size must be a positive integer, "
+                                                 f"got {n!r}$"):
+                call()
+        assert not cache_dir.exists()
+
+    @pytest.mark.parametrize("replicates", [2.5, True, 0])
+    def test_replicates(self, cache_dir, replicates):
+        calls = self.calls(cache_dir, replicates=replicates)
+        calls.append(lambda: null_pitos_pvalues(8, replicates, 0))
+        for call in calls:
+            with pytest.raises(ValueError, match=f"^replicates must be a positive integer, "
+                                                 f"got {replicates!r}$"):
+                call()
+        assert not cache_dir.exists()
+
+    @pytest.mark.parametrize("count", [2.5, True, 0])
+    def test_num_distributions(self, cache_dir, count):
+        with pytest.raises(ValueError, match=f"^num_distributions must be a positive integer, "
+                                             f"got {count!r}$"):
+            self.calls(cache_dir, num_distributions=count)[2]()
+        assert not cache_dir.exists()
+
+    def test_whole_floats_are_ints(self, cache_dir):
+        report = estimate_power("uniform", "ks", 8.0, replicates=4.0, null_b=20,
+                                cache_dir=cache_dir)
+        assert (type(report.n), report.n, type(report.replicates)) == (int, 8, int)
 
 
 class TestCommonRandomNumbers:
@@ -338,7 +385,9 @@ def _md5(values):
 
 class TestFrozenCalibration:
     """md5s of calibration outputs, frozen from the implementation in which
-    calibration scored its pitos replicates in a loop of its own."""
+    calibration scored its pitos replicates in a loop of its own; ks's was
+    re-captured when each empirical null came to draw its rows from one
+    stream per (seed, n)."""
 
     @pytest.mark.parametrize("args, pair_seed, expected", [
         ((1, 200, 3), None,
@@ -357,7 +406,7 @@ class TestFrozenCalibration:
     @pytest.mark.parametrize("test, expected", [
         ("pitos", {"p": "cbad9d5594c75b9c2d9dc8f877f4d493",
                    "p_star": "f4f6df05699631e2ed9ec077f155bd15"}),
-        ("ks", {"p": "465a3be880dead24c5589da198227ae8"}),
+        ("ks", {"p": "86aa9296c6d2ff7426a0b67df77cda75"}),
     ])
     def test_null_pvalue_cdf(self, cache_dir, test, expected):
         out = null_pvalue_cdf(test, 15, 300, 2, np.linspace(0.0, 1.0, 201),
