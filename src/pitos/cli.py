@@ -301,9 +301,10 @@ def _cmd_calibrate(args):
 
 def _cmd_study(args):
     tests = _parse_tests(args.tests)
+    dists = _positive_int(args.dists, "dists")
     reps, null_b = _resolve_counts(args)
     summary = scenario_study(
-        args.scenario, args.dists, reps, args.n, args.alpha, args.seed,
+        args.scenario, dists, reps, args.n, args.alpha, args.seed,
         tests=tests, null_b=null_b, cache_dir=args.cache_dir, threads=args.threads,
         pair_seed=args.random_pair_seed,
     )
@@ -316,7 +317,7 @@ def _cmd_study(args):
     _write_study_table(args, null_b, header, rows, {
         "scenario": args.scenario,
         "tests": list(tests),
-        "num_distributions": args.dists,
+        "num_distributions": dists,
         "replicates_per_distribution": reps,
         "n": args.n,
         "alpha": args.alpha,

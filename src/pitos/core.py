@@ -28,6 +28,7 @@ __all__ = [
     "conditional_os_cdf",
     "corrected_p_value",
     "pitos_p_value",
+    "planned_p_values",
 ]
 
 # Per-pair p-values are clamped into [CLAMP_EPS, 1 - CLAMP_EPS] before the
@@ -166,8 +167,9 @@ def thread_map(fn, items, threads):
 
 
 def _shaped_terms(sorted_x, shapes, terms, u=None):
-    """Cauchy-combination terms of one pass of pairs against one sorted
-    sample, from the pairs' PairShapes.
+    """Cauchy-combination terms of one pass of pairs against a sorted sample,
+    or against each row of an (R, n) block of them, from the pairs'
+    PairShapes; `terms` has the pairs' length or shape (R, pairs).
 
     Per pair, u is one Beta CDF G(ratio, a, b) of a ratio of order statistics:
     the cases of conditional_os_cdf differ only in the shapes, the offset and
@@ -175,11 +177,11 @@ def _shaped_terms(sorted_x, shapes, terms, u=None):
     x_(i) = 0 with i > j) pins the conditional mass, so u = 1.  The term of
     p = 2 min(u, 1 - u) is tan(pi (1 - p - 1/2)); `u`, if given, gets u.
     """
-    xi = sorted_x[shapes.i0]
+    xi = sorted_x[..., shapes.i0]
     den = np.where(shapes.below, 1.0 - xi, np.where(shapes.above, xi, 1.0))
     pinned = den <= 0.0
     den[pinned] = 1.0
-    ratio = sorted_x[shapes.j0]
+    ratio = sorted_x[..., shapes.j0]
     np.subtract(ratio, np.where(shapes.below, xi, 0.0), out=ratio)
     np.divide(ratio, den, out=ratio)
     np.clip(ratio, 0.0, 1.0, out=ratio)
@@ -206,6 +208,29 @@ def _pair_terms(sorted_x, i_idx, j_idx, n, terms, u=None):
         shapes = pair_shapes(i_idx[lo:hi], j_idx[lo:hi], n)
         _shaped_terms(sorted_x, shapes, terms[lo:hi], None if u is None else u[lo:hi])
     return terms
+
+
+def planned_p_values(sorted_rows, pairs):
+    """(statistic, p_uncorrected) arrays of an (R, n) block of sorted rows,
+    each bitwise the pitos_p_value verdict's of its row.
+
+    One _shaped_terms pass evaluates the R x U distinct pairs of the plan
+    cached on `pairs` (PairSequence.plan), and each row's terms are gathered
+    into sequence order and summed pairwise as one summation block: the
+    block loop's sum when m <= 2^20.  The caller keeps R x U near PASS_SIZE.
+    Each p is the upper Cauchy tail of its row's statistic, taken with
+    math.atan as pitos_p_value takes it, not with a vectorized arctan whose
+    bits may differ.
+    """
+    shapes, inv = pairs.plan()
+    terms = _shaped_terms(sorted_rows, shapes, np.empty((len(sorted_rows), len(shapes.a))))
+    statistics = np.take(terms, inv, axis=1).sum(axis=1) / pairs.m
+    return statistics, np.array([_cauchy_tail(s) for s in statistics.tolist()])
+
+
+def _cauchy_tail(statistic):
+    """Upper Cauchy tail, written to avoid the cancellation in 1 - (1/2 + atan/pi)."""
+    return 0.5 - math.atan(statistic) / math.pi
 
 
 def corrected_p_value(p):
@@ -238,13 +263,15 @@ def pitos_p_value(sample, pairs=None, *, detail=False):
     Notes
     -----
     Each pair's u, p and Cauchy term come from one kernel pass.  Sequences of
-    m <= 2^16 pairs without detail gather the terms of their distinct pairs
-    into one summation block, reading the pairs' shapes from the plan cached
-    on the sequence (PairSequence.plan);
-    the rest walk fixed blocks of 2^20 pairs, on a pool of one thread per
-    available core when there is more than one block (betainc releases the
-    GIL).  Terms are summed pairwise within a block and the block sums left
-    to right, so results are bitwise the same run to run, in either regime
+    m <= 2^16 pairs without detail are scored as a block of one row by
+    planned_p_values, which evaluates the distinct pairs of the plan cached
+    on the sequence (PairSequence.plan) and gathers their terms into one
+    summation block; the harness scores its replicates through the same
+    kernel, many rows per call.  The rest walk fixed blocks of 2^20 pairs,
+    on a pool of one thread per available core when there is more than one
+    block (betainc releases the GIL).  Terms are summed pairwise within a
+    block and the block sums left to right, so results are bitwise the same
+    run to run, in either regime, for any number of rows per kernel call
     and for any core count.
     """
     if not isinstance(sample, OrderedSample):
@@ -261,8 +288,8 @@ def pitos_p_value(sample, pairs=None, *, detail=False):
     m = pairs.m
     u_all = np.empty(m) if detail else None
     if m <= _DEDUP_LIMIT and not detail:
-        shapes, inv = pairs.plan()
-        block_totals = [float(_shaped_terms(sorted_x, shapes, np.empty(len(shapes.a)))[inv].sum())]
+        statistics, ps = planned_p_values(sorted_x[np.newaxis], pairs)
+        statistic, p = float(statistics[0]), float(ps[0])
     else:
         starts = range(0, m, _BLOCK)
         workers = min(len(starts), _available_cores())  # one block runs inline
@@ -278,16 +305,12 @@ def pitos_p_value(sample, pairs=None, *, detail=False):
             spare.append(terms)
             return float(total)
 
-        block_totals = thread_map(block_sum, starts, workers)
-
-    total = 0.0
-    # left to right in block order, whatever ran them
-    for block_total in block_totals:
-        total += block_total
-    statistic = total / m
-
-    # upper Cauchy tail, written to avoid the cancellation in 1 - (1/2 + atan/pi)
-    p = 0.5 - math.atan(statistic) / math.pi
+        total = 0.0
+        # left to right in block order, whatever ran them
+        for block_total in thread_map(block_sum, starts, workers):
+            total += block_total
+        statistic = total / m
+        p = _cauchy_tail(statistic)
 
     pair_detail = None
     if detail:

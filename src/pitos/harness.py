@@ -19,9 +19,10 @@ import numpy as np
 
 from .classic import (CLASSIC_TESTS, batch_statistics, build_empirical_null, empirical_p_value,
                       replicate_rows, stacked)
-from .core import _available_cores, corrected_p_value, pitos_p_value, thread_map
+from .core import (_DEDUP_LIMIT, _available_cores, corrected_p_value, pitos_p_value,
+                   planned_p_values, thread_map)
 from .distributions import DistributionSpec, ScenarioSampler, scenario_code, zoo_lookup
-from .pairs import _positive_int, _sample_size, generate_pairs, random_pairs
+from .pairs import PASS_SIZE, _positive_int, _sample_size, generate_pairs, random_pairs
 from .streams import stream
 
 __all__ = [
@@ -124,13 +125,18 @@ def _pvalue_matrix(dist, tests, n, replicates, seed, scen_code, dist_index, pair
     in the row blocks of classic.replicate_rows, so at most one block of
     ROW_BLOCK_VALUES values is held.  Within a block, pitos scores one unit
     of consecutive rows per available core, each unit on its own thread
-    writing its own columns.  Every statistic is computed per row, so
-    neither the block size nor the core count changes a p-value.  A
+    writing its own columns.  A sequence of at most 2^16 pairs scores a
+    unit's sorted rows through core.planned_p_values, max(1, PASS_SIZE // U)
+    rows per call for its U distinct pairs; a longer one runs pitos_p_value
+    row by row.  Every statistic is computed per row, so neither the block
+    size, the rows per call nor the core count changes a p-value.  A
     replicate any test cannot score is a NaN, counted against
     FAILURE_BUDGET and read as p = 1.
     """
     out = np.empty((len(tests), replicates))
     workers = _available_cores()
+    planned = pairs is not None and pairs.m <= _DEDUP_LIMIT
+    step = max(1, PASS_SIZE // len(pairs.plan()[0].a)) if planned else 1
     for lo, rows in replicate_rows(
             replicates, n,
             stacked(lambda r: replicate_dataset(seed, scen_code, dist_index, r, dist, n), n)):
@@ -142,11 +148,13 @@ def _pvalue_matrix(dist, tests, n, replicates, seed, scen_code, dist_index, pair
                 unit = -(-len(rows) // workers)
 
                 def score(first):
-                    for r in range(first, min(first + unit, len(rows))):
-                        try:
+                    end = min(first + unit, len(rows))
+                    for r in range(first, end, step):
+                        stop = min(r + step, end)
+                        if planned:
+                            out[k, lo + r : lo + stop] = planned_p_values(sorted_rows[r:stop], pairs)[1]
+                        else:
                             out[k, lo + r] = pitos_p_value(rows[r], pairs).p_uncorrected
-                        except (ValueError, FloatingPointError):
-                            out[k, lo + r] = np.nan
 
                 thread_map(score, range(0, len(rows), unit), workers)
             else:

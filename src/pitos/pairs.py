@@ -195,9 +195,10 @@ class PairSequence:
 
     def plan(self):
         """(PairShapes of the distinct pairs, inverse), built once and cached:
-        pitos_p_value evaluates the distinct pairs and gathers their terms by
-        `inverse` below 2^16 pairs, so replicates scored on one sequence
-        share the sort and the shapes."""
+        core.planned_p_values evaluates the distinct pairs against a block of
+        rows and gathers each row's terms by `inverse`.  Verdicts below 2^16
+        pairs and the harness's replicates go through it, so every replicate
+        scored on one sequence shares the sort and the shapes."""
         if self._plan is None:
             with _PLAN_LOCK:
                 if self._plan is None:

@@ -411,6 +411,18 @@ class TestTabularSubcommands:
         assert err == f"error: count must be a positive integer, got {count}\n"
         assert not out_file.exists()
 
+    @pytest.mark.parametrize("count", ["0", "-1"])
+    def test_study_rejects_distribution_counts_below_one(self, tmp_path, capsys, count):
+        # the message names the flag, not scenario_study's num_distributions
+        out_file = tmp_path / "study.csv"
+        code, out, err = run_cli(
+            ["study", "--scenario", "outliers", "--dists", count, "--reps", "4", "--n", "8",
+             "--null-b", "20", "--cache-dir", str(tmp_path / "cache"), "--out", str(out_file)],
+            capsys)
+        assert (code, out) == (2, "")
+        assert err == f"error: dists must be a positive integer, got {count}\n"
+        assert not any(tmp_path.iterdir())  # no CSV, no cache directory
+
     @pytest.mark.parametrize("command, message", [
         (["power", "--dist", "uniform", "--n", "10,abc"],
          "--n takes comma-separated integers, got '10,abc'"),

@@ -297,6 +297,50 @@ class TestPairPlan:
             sys.setswitchinterval(interval)
 
 
+class TestPlannedPValues:
+    """core.planned_p_values scores a block of sorted rows on the plan; each
+    row's statistic and p must be the block loop's bits, whatever the number
+    of rows per call."""
+
+    @staticmethod
+    def _sorted_rows(n, uniform, tied):
+        # uniform rows, then rows of few distinct values with 1 (and, every
+        # other row, 0) among them: ties and pinned denominators
+        rng = np.random.default_rng(500 + n)
+        rows = [rng.random(n) for _ in range(uniform)]
+        for k in range(tied):
+            row = rng.choice(np.concatenate(([0.0, 1.0], rng.random(n // 4 + 1))), n)
+            row[-1] = 1.0
+            if k % 2 == 0:
+                row[0] = 0.0
+            rows.append(row)
+        return np.sort(np.array(rows), axis=1)
+
+    @staticmethod
+    def _check(monkeypatch, rows, pairs, calls):
+        with monkeypatch.context() as patch:
+            patch.setattr(core, "_DEDUP_LIMIT", 0)
+            looped = [pitos_p_value(row, pairs) for row in rows]
+        want_s = np.array([v.statistic for v in looped])
+        want_p = np.array([v.p_uncorrected for v in looped])
+        for r in calls:
+            parts = [core.planned_p_values(rows[lo : lo + r], pairs) for lo in range(0, len(rows), r)]
+            assert np.concatenate([s for s, _ in parts]).tobytes() == want_s.tobytes(), (pairs.n, r)
+            assert np.concatenate([p for _, p in parts]).tobytes() == want_p.tobytes(), (pairs.n, r)
+
+    @pytest.mark.slow
+    def test_every_small_n_matches_the_block_loop(self, monkeypatch):
+        # 4 rows per n: R = 3 does not divide them, R = 64 takes them in one
+        # call, and R = 1 is pitos_p_value's own call
+        for n in list(range(1, 401)) + [943]:
+            self._check(monkeypatch, self._sorted_rows(n, 2, 2), generate_pairs(n), (1, 3, 64))
+
+    @pytest.mark.parametrize("n", [30, 100])
+    def test_calls_of_64_rows_match_the_block_loop(self, monkeypatch, n):
+        # 130 rows: two full calls of 64 and a ragged call of 2
+        self._check(monkeypatch, self._sorted_rows(n, 100, 30), generate_pairs(n), (64,))
+
+
 def _frozen_data(n):
     return np.random.default_rng(1000 + n).random(n)
 

@@ -8,7 +8,8 @@ import math
 import numpy as np
 import pytest
 
-from pitos import classic, harness
+from pitos import classic, core, harness
+from pitos.core import pitos_p_value
 from pitos.harness import (
     ALL_TESTS,
     NullPvalueCdf,
@@ -20,6 +21,7 @@ from pitos.harness import (
     scenario_study,
 )
 from pitos.distributions import DistributionSpec, zoo_lookup
+from pitos.pairs import generate_pairs
 
 
 class TestEstimatePower:
@@ -165,6 +167,40 @@ class TestRowBlocks:
                            cache_dir=cache_dir)
 
 
+class TestPitosFailures:
+    """A pitos replicate the kernel cannot score comes out as a NaN p and
+    counts against FAILURE_BUDGET, as any other test's failure does."""
+
+    @staticmethod
+    def _first_row_fails(monkeypatch):
+        # one core, and blocks that fit one kernel call: one failure per block
+        real = harness.planned_p_values
+
+        def first_row_fails(sorted_rows, pairs):
+            statistics, p = real(sorted_rows, pairs)
+            p[0] = np.nan
+            return statistics, p
+
+        monkeypatch.setattr(harness, "_available_cores", lambda: 1)
+        monkeypatch.setattr(harness, "planned_p_values", first_row_fails)
+
+    def test_over_budget_raises(self, monkeypatch):
+        monkeypatch.setattr(classic, "ROW_BLOCK_VALUES", 3 * 10)
+        self._first_row_fails(monkeypatch)
+        with pytest.raises(RuntimeError, match="^pitos: 4/12 replicates failed on 'uniform'$"):
+            estimate_power("uniform", "pitos", 10, replicates=12)
+
+    def test_under_budget_is_logged_and_read_as_p_one(self, monkeypatch, caplog):
+        clean = null_pitos_pvalues(4, 1000, 6)[0]
+        self._first_row_fails(monkeypatch)
+        with caplog.at_level("WARNING", logger="pitos.harness"):
+            failed = null_pitos_pvalues(4, 1000, 6)[0]
+        assert [r.getMessage() for r in caplog.records] == [
+            "pitos: 1/1000 replicates failed on 'uniform'; counted as non-rejections"]
+        assert failed[0] == 1.0 > clean[0]
+        assert failed[1:].tobytes() == clean[1:].tobytes()
+
+
 class TestReplicateUnits:
     """Within a row block, pitos scores one unit of consecutive rows per
     core; the core count must not move a single p-value bit."""
@@ -193,6 +229,19 @@ class TestReplicateUnits:
         runs = {cores: self._matrices(monkeypatch, tmp_path, cores) for cores in (1, 2, 3)}
         assert runs[2] == runs[1]
         assert runs[3] == runs[1]
+
+    def test_pitos_row_is_bitwise_the_same_at_any_core_count(self, monkeypatch):
+        # n = 30 scores 92 rows per kernel call: units of 250 (92 + 92 + 66),
+        # 125 (92 + 33) and 50 rows, each row the block loop's verdict
+        uniform, pairs = zoo_lookup("uniform"), generate_pairs(30)
+        runs = {}
+        for cores in (1, 2, 5):
+            monkeypatch.setattr(harness, "_available_cores", lambda cores=cores: cores)
+            runs[cores] = null_pitos_pvalues(30, 250, 3)[0].tobytes()
+        monkeypatch.setattr(core, "_DEDUP_LIMIT", 0)
+        looped = np.array([pitos_p_value(replicate_dataset(3, 0, 0, r, uniform, 30), pairs).p_uncorrected
+                           for r in range(250)])
+        assert runs[1] == runs[2] == runs[5] == looped.tobytes()
 
     def test_pools_never_nest(self, monkeypatch, cache_dir, pool_sizes):
         # units would take a pool of 2 threads; inside a study's job pool they run inline
@@ -371,6 +420,14 @@ class TestNullPvalueCdf:
             null_b=20_000, cache_dir=session_cache_dir,
         )
         np.testing.assert_allclose(out.series["p"], grid, atol=0.03)
+
+    @pytest.mark.parametrize("test", ["ad", "nb", "ks", "cvm"])
+    def test_classical_type_one_error_at_n_1000(self, cache_dir, test):
+        # R = B = 2000; the 1/B term covers the null's own quantile error
+        alphas, r, b = np.array([0.01, 0.05, 0.1]), 2000, 2000
+        out = null_pvalue_cdf(test, 1000, r, 21, alphas, null_b=b, cache_dir=cache_dir)
+        bound = 4.0 * np.sqrt(alphas * (1.0 - alphas) * (1.0 / r + 1.0 / b))
+        assert np.all(np.abs(out.series["p"] - alphas) <= bound), out.series["p"]
 
     def test_rejects_lrt_and_bad_grid(self):
         with pytest.raises(ValueError):
