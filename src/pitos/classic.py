@@ -181,18 +181,6 @@ def replicate_rows(count, n, draw_block):
         yield lo, draw_block(lo, min(step, count - lo))
 
 
-def stacked(draw, n):
-    """A replicate_rows block draw whose row k is draw(lo + k), n values."""
-
-    def draw_block(lo, size):
-        rows = np.empty((size, n))
-        for k in range(size):
-            rows[k] = draw(lo + k)
-        return rows
-
-    return draw_block
-
-
 # ---------------------------------------------------------------------------
 # empirical nulls
 

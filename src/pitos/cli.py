@@ -31,6 +31,7 @@ from .harness import (
     DEFAULT_REPLICATES,
     DEFAULT_TESTS,
     STUDY_NULL_B,
+    _normalize_tests,
     null_pvalue_cdf,
     power_curve,
     replicate_dataset,
@@ -211,7 +212,8 @@ def _cmd_pairs(args):
 
 def _cmd_sample(args):
     spec = zoo_lookup(args.dist)
-    values = replicate_dataset(args.seed, 0, 0, 0, spec, _sample_size(args.n))
+    # replicate 0 of a directly named distribution's job at this seed
+    values = replicate_dataset(spec, _sample_size(args.n), stream(args.seed, 0, 0, 1))
     _write_text(args.out, _numeric_table("", "{1!r}\n", values))
     return 0
 
@@ -238,8 +240,11 @@ def _comma_list(flag, text, convert, kind):
 def _parse_tests(raw):
     tests = tuple(t.strip() for t in raw.split(",") if t.strip())
     if not tests:
-        raise CliError("empty test roster")
-    return tests
+        raise CliError("--tests: empty test roster")
+    try:
+        return _normalize_tests(tests)
+    except ValueError as exc:
+        raise CliError(f"--tests: {exc}") from None
 
 
 def _cmd_power(args):
@@ -275,6 +280,8 @@ def _cmd_power(args):
 
 def _cmd_calibrate(args):
     grid = _comma_list("--grid", args.grid, float, "numbers") if args.grid else list(CALIBRATION_GRID)
+    if not all(0.0 <= t <= 1.0 for t in grid):  # NaN fails both
+        raise CliError(f"--grid takes thresholds in [0, 1], got {args.grid!r}")
     reps, null_b = _resolve_counts(args)
     result = null_pvalue_cdf(
         args.test, args.n, reps, args.seed, grid,

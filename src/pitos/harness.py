@@ -1,10 +1,14 @@
 """Monte Carlo engine: power estimation, power-versus-n curves, randomized
 scenario studies with rank aggregation, and null p-value calibration curves.
 
-Common random numbers: within one replicate every test sees the identical
-simulated dataset, drawn from the stream (scenario_code, distribution_index,
-1 + replicate_index) under the run's seed.  Results are therefore bitwise
-reproducible for a given configuration regardless of parallelism, and
+A job is one distribution at one sample size: (seed, scenario_code,
+distribution_index).  It draws its replicate datasets from one generator,
+the stream (scenario_code, distribution_index, 1) under the run's seed:
+replicate r is the job's (r+1)-th dist.sample(n, rng) call, made in order on
+the job's own thread.  Common random numbers: within one replicate every
+test sees the identical dataset.  The rows depend only on (seed,
+scenario_code, distribution_index, r), so results are bitwise reproducible
+for a given configuration regardless of block size or parallelism, and
 comparisons between tests are sharpened at no cost.
 
 Desk-scale defaults (2,000 replicates, 20,000 null draws) keep studies in
@@ -18,7 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .classic import (CLASSIC_TESTS, batch_statistics, build_empirical_null, empirical_p_value,
-                      replicate_rows, stacked)
+                      replicate_rows)
 from .core import (_DEDUP_LIMIT, _available_cores, corrected_p_value, pitos_p_value,
                    planned_p_values, thread_map)
 from .distributions import DistributionSpec, ScenarioSampler, scenario_code, zoo_lookup
@@ -84,9 +88,9 @@ class RankSummary:
     reports: list = field(default_factory=list, repr=False)
 
 
-def replicate_dataset(seed, scen_code, dist_index, replicate, dist, n):
-    """The dataset one replicate sees; shared by every test (common random numbers)."""
-    rng = stream(seed, scen_code, dist_index, 1 + replicate)
+def replicate_dataset(dist, n, rng):
+    """The dataset of a job's next replicate: n draws of `dist` from the
+    job's generator, shared by every test (common random numbers)."""
     return dist.sample(n, rng)
 
 
@@ -110,9 +114,11 @@ def _normalize_tests(tests):
     if isinstance(tests, str):
         tests = (tests,)
     tests = tuple(tests)
-    for t in tests:
+    for k, t in enumerate(tests):
         if t not in ALL_TESTS:
             raise ValueError(f"unknown test identifier {t!r}; choose from {ALL_TESTS}")
+        if t in tests[:k]:
+            raise ValueError(f"test {t!r} appears twice in the roster")
     return tests
 
 
@@ -121,8 +127,10 @@ def _pvalue_matrix(dist, tests, n, replicates, seed, scen_code, dist_index, pair
 
     The pitos row holds the uncorrected combination p; pass it through
     corrected_p_value before comparing it with a level.  `nulls` maps every
-    test but pitos to its empirical null.  Replicates are drawn and scored
-    in the row blocks of classic.replicate_rows, so at most one block of
+    test but pitos to its empirical null.  Replicate r is the (r+1)-th
+    replicate_dataset draw from the job's one stream (scen_code,
+    dist_index, 1).  Replicates are drawn, in order, and scored in the row
+    blocks of classic.replicate_rows, so at most one block of
     ROW_BLOCK_VALUES values is held.  Within a block, pitos scores one unit
     of consecutive rows per available core, each unit on its own thread
     writing its own columns.  A sequence of at most 2^16 pairs scores a
@@ -137,9 +145,15 @@ def _pvalue_matrix(dist, tests, n, replicates, seed, scen_code, dist_index, pair
     workers = _available_cores()
     planned = pairs is not None and pairs.m <= _DEDUP_LIMIT
     step = max(1, PASS_SIZE // len(pairs.plan()[0].a)) if planned else 1
-    for lo, rows in replicate_rows(
-            replicates, n,
-            stacked(lambda r: replicate_dataset(seed, scen_code, dist_index, r, dist, n), n)):
+    rng = stream(seed, scen_code, dist_index, 1)  # replicate_rows asks for its blocks in order
+
+    def draw_block(lo, size):
+        rows = np.empty((size, n))
+        for k in range(size):
+            rows[k] = replicate_dataset(dist, n, rng)
+        return rows
+
+    for lo, rows in replicate_rows(replicates, n, draw_block):
         if np.any(np.isnan(rows)) or rows.min() < 0.0 or rows.max() > 1.0:
             raise ValueError(f"sampler for {dist.name!r} produced values outside [0, 1]")
         sorted_rows = np.sort(rows, axis=1)
@@ -354,7 +368,7 @@ def null_pvalue_cdf(
     Monte Carlo p-value as "p".
     """
     grid = np.asarray(grid, dtype=float)
-    if grid.ndim != 1 or np.any(grid < 0.0) or np.any(grid > 1.0):
+    if grid.ndim != 1 or not np.all((grid >= 0.0) & (grid <= 1.0)):  # NaN fails both
         raise ValueError("grid must be a 1-D array of thresholds in [0, 1]")
     tests = _normalize_tests(test)
     if len(tests) != 1 or tests[0] == "lrt":

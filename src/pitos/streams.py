@@ -4,17 +4,21 @@ Every stream is `default_rng(SeedSequence(entropy=seed, spawn_key=path))`
 for a short integer path, so work items can run in any order or any degree
 of parallelism and still see identical randomness:
 
-  (scenario_code, distribution_index, 0)       parameter draws
-  (scenario_code, distribution_index, 1 + r)   dataset of replicate r
-  (NULL_ROWS, n)                               empirical-null rows at size n
-  (0xA17,)                                     random-pair source (random_pairs)
-  (0, 0, 0)                                    discrete-PIT draw of `pitos test`
+  (scenario_code, distribution_index, 0)   parameter draws
+  (scenario_code, distribution_index, 1)   datasets of a job's replicates
+  (NULL_ROWS, n)                           empirical-null rows at size n
+  (0xA17,)                                 random-pair source (random_pairs)
+  (0, 0, 0)                                discrete-PIT draw of `pitos test`
 
-scenario_code 0 means a directly specified distribution (no scenario).
-`pitos sample` writes replicate 0's dataset, (0, 0, 1).  Replicate r of an
-empirical null at size n is values r*n ... (r+1)*n - 1 of its one stream,
-which every test's null at that seed and n shares.  No other path has two
-words, so the null rows share no stream with the others.
+scenario_code 0 means a directly specified distribution (no scenario).  A
+harness job, one distribution at one sample size, draws replicate r as the
+(r+1)-th dist.sample(n, rng) call on its one stream (scenario_code,
+distribution_index, 1); the paths (scenario_code, distribution_index, 1 + r)
+for r >= 1 are unused.  `pitos sample` writes replicate 0's dataset, the
+first draw from (0, 0, 1).  Replicate r of an empirical null at size n is
+values r*n ... (r+1)*n - 1 of its one stream, which every test's null at
+that seed and n shares.  No other path has two words, so the null rows
+share no stream with the others.
 """
 
 import operator

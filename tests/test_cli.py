@@ -16,6 +16,7 @@ from pitos import classic, cli
 from pitos.cli import build_parser, main, read_values
 from pitos.distributions import zoo_lookup
 from pitos.harness import replicate_dataset
+from pitos.streams import stream
 
 REPO_SRC = str(Path(__file__).resolve().parents[1] / "src")
 
@@ -228,9 +229,11 @@ class TestTabularSubcommands:
         assert len(values) == 100 and values.min() >= 0 and values.max() <= 1
 
     def test_sample_writes_replicate_zero_dataset(self, capsys):
-        # the dataset replicate 0 of a directly named distribution sees
+        # the dataset replicate 0 of a directly named distribution sees: the
+        # first draw from its job's stream (0, 0, 1)
         spec = zoo_lookup("beta(0.6,0.6)")
-        expected = "".join(f"{v!r}\n" for v in replicate_dataset(7, 0, 0, 0, spec, 20).tolist())
+        values = replicate_dataset(spec, 20, stream(7, 0, 0, 1))
+        expected = "".join(f"{v!r}\n" for v in values.tolist())
         code, out, err = run_cli(
             ["sample", "--dist", "beta(0.6,0.6)", "--n", "20", "--seed", "7"], capsys)
         assert (code, out, err) == (0, expected, "")
@@ -439,6 +442,40 @@ class TestTabularSubcommands:
         assert (code, out, err) == (2, "", f"error: {message}\n")
         assert not any(tmp_path.iterdir())  # no CSV, no cache directory
 
+    @pytest.mark.parametrize("roster, message", [
+        # a repeated pitos would be reported without its correction, and a
+        # study would rank the repeat twice
+        ("pitos,ks,pitos", "test 'pitos' appears twice in the roster"),
+        ("ks,watson", "unknown test identifier 'watson'; choose from "
+                      "('pitos', 'ad', 'nb', 'ks', 'cvm', 'lrt')"),
+        (",", "empty test roster"),
+    ], ids=["repeated", "unknown", "empty"])
+    @pytest.mark.parametrize("command", [
+        ["power", "--dist", "gap(0.5,0.05)", "--n", "20"],
+        ["study", "--scenario", "outliers", "--dists", "2", "--n", "8"],
+    ], ids=["power", "study"])
+    def test_bad_roster_is_named_with_its_flag(self, tmp_path, capsys, command, roster, message):
+        code, out, err = run_cli(
+            command + ["--tests", roster, "--reps", "4", "--null-b", "20",
+                       "--cache-dir", str(tmp_path / "cache"), "--out", str(tmp_path / "out.csv")],
+            capsys,
+        )
+        assert (code, out) == (2, "")
+        assert err == f"error: --tests: {message}\n"
+        assert not any(tmp_path.iterdir())  # no CSV, no cache directory
+
+    @pytest.mark.parametrize("grid", ["nan", "0.05,nan", "inf", "1.5"])
+    def test_calibrate_refuses_thresholds_outside_the_unit_interval(self, tmp_path, capsys, grid):
+        code, out, err = run_cli(
+            ["calibrate", "--test", "ks", "--n", "10", "--reps", "5", "--null-b", "20",
+             "--grid", grid, "--cache-dir", str(tmp_path / "cache"),
+             "--out", str(tmp_path / "out.csv")],
+            capsys,
+        )
+        assert (code, out) == (2, "")
+        assert err == f"error: --grid takes thresholds in [0, 1], got {grid!r}\n"
+        assert not any(tmp_path.iterdir())  # no CSV, no cache directory
+
     @pytest.mark.parametrize("threads", ["0", "-2"])
     @pytest.mark.parametrize("command", [
         ["power", "--dist", "uniform", "--n", "8"],
@@ -475,47 +512,49 @@ class TestTabularSubcommands:
 # each frozen from the implementation before the code it covers was reworked
 # (power_lrt_threads: before studies resolved their nulls once per n); the
 # CSVs of the power, calibrate_ks and study entries were re-captured when each
-# empirical null came to draw its rows from one stream per (seed, n);
-# {out}, {cache} and {data} are filled per run.
+# empirical null came to draw its rows from one stream per (seed, n), and the
+# CSVs of every power, calibrate and study entry when each job came to draw
+# its replicate datasets from one stream; {out}, {cache} and {data} are
+# filled per run.
 FROZEN_CLI = {
     "power": (
         ["power", "--dist", "uniform", "--tests", "pitos,ks", "--n", "10,20", "--reps", "50",
          "--null-b", "200", "--seed", "2", "--out", "{out}", "--cache-dir", "{cache}"],
-        ("d41d8cd98f00b204e9800998ecf8427e", "6cf814c0eda3e574f17674d4f4fd1fb5",
+        ("d41d8cd98f00b204e9800998ecf8427e", "d2ed488375202ed69329ba755d743cbd",
          "bcb45c5091eaf9fd3a24848b592ba4e4"),
     ),
     "power_random_pairs": (
         ["power", "--dist", "uniform", "--tests", "pitos,ks", "--n", "10,20", "--reps", "40",
          "--null-b", "200", "--seed", "2", "--random-pair-seed", "9", "--out", "{out}",
          "--cache-dir", "{cache}"],
-        ("d41d8cd98f00b204e9800998ecf8427e", "87f9ddae7861c37ed54340812de3e85d",
+        ("d41d8cd98f00b204e9800998ecf8427e", "34921ca69f2289743e35871830a4ef54",
          "77dfcfe53467f4baa47cf7479799286d"),
     ),
     "power_lrt_threads": (
         ["power", "--dist", "gap(0.5,0.05)", "--tests", "pitos,ks,lrt", "--n", "12,20",
          "--reps", "40", "--null-b", "200", "--seed", "2", "--threads", "2", "--out", "{out}",
          "--cache-dir", "{cache}"],
-        ("d41d8cd98f00b204e9800998ecf8427e", "c709078bba0d488a182731bbae9cee77",
+        ("d41d8cd98f00b204e9800998ecf8427e", "9955673239fe21bac82e751493cde2a3",
          "efb9c4591dbe73169f76cfcc4706babc"),
     ),
     "calibrate_pitos": (
         ["calibrate", "--test", "pitos", "--n", "10", "--reps", "100", "--grid", "0.05,0.5",
          "--seed", "1", "--out", "{out}", "--cache-dir", "{cache}"],
-        ("d41d8cd98f00b204e9800998ecf8427e", "0adc0c3c5b624b853e48826ef321a6e8",
+        ("d41d8cd98f00b204e9800998ecf8427e", "cc5b4afb5bb0d6d8987ab451d6a06f56",
          "1b9591c722ff9f631811164b26b08e67"),
     ),
     "calibrate_ks_paper_scale": (
         ["calibrate", "--test", "ks", "--n", "8", "--reps", "50", "--paper-scale",
          "--null-b", "100", "--grid", "0.5", "--seed", "1", "--out", "{out}",
          "--cache-dir", "{cache}"],
-        ("d41d8cd98f00b204e9800998ecf8427e", "a0a0b4396ad6b8dd72958137dffabc35",
+        ("d41d8cd98f00b204e9800998ecf8427e", "8241fd91275176b9e70e95eebba927ac",
          "e96c1b90ec3a2d326253bdb94a4fa033"),
     ),
     "study": (
         ["study", "--scenario", "outliers", "--dists", "3", "--reps", "30", "--n", "15",
          "--tests", "pitos,ks", "--null-b", "200", "--seed", "5", "--out", "{out}",
          "--cache-dir", "{cache}"],
-        ("d41d8cd98f00b204e9800998ecf8427e", "9f4fe96e799860cc5c1715d31afdba78",
+        ("d41d8cd98f00b204e9800998ecf8427e", "6b8eb44cf181825ec9e03e04c69b315b",
          "693f5e507fe5d4ae52f5c37dea247f8b"),
     ),
     "test_pitos_detail": (

@@ -1,6 +1,6 @@
 """Harness behavior: null rejection near alpha, the constant-statistic LRT
-edge case, determinism across runs and thread counts, common random numbers,
-and rank bookkeeping."""
+edge case, determinism across runs and thread counts, each job's one dataset
+stream, common random numbers, and rank bookkeeping."""
 
 import hashlib
 import math
@@ -20,8 +20,9 @@ from pitos.harness import (
     replicate_dataset,
     scenario_study,
 )
-from pitos.distributions import DistributionSpec, zoo_lookup
+from pitos.distributions import SCENARIOS, DistributionSpec, ScenarioSampler, scenario_code, zoo_lookup
 from pitos.pairs import generate_pairs
+from pitos.streams import stream
 
 
 class TestEstimatePower:
@@ -65,6 +66,17 @@ class TestEstimatePower:
             estimate_power("uniform", "watson", n=10, replicates=10, cache_dir=cache_dir)
         with pytest.raises(ValueError):
             estimate_power("uniform", "pitos", n=10, replicates=0)
+
+    def test_repeated_test_is_refused(self, cache_dir):
+        # the repeat of pitos would be reported without its correction
+        message = "^test 'pitos' appears twice in the roster$"
+        with pytest.raises(ValueError, match=message):
+            estimate_power("gap(0.5,0.05)", ("pitos", "ks", "pitos"), 20, replicates=4,
+                           null_b=20, cache_dir=cache_dir)
+        with pytest.raises(ValueError, match=message):
+            scenario_study("outliers", 2, 4, 8, tests=("pitos", "pitos"), null_b=20,
+                           cache_dir=cache_dir)
+        assert not cache_dir.exists()  # refused before any null is built
 
     def test_report_records_distribution(self, cache_dir):
         report = estimate_power(
@@ -162,7 +174,7 @@ class TestRowBlocks:
             name="edge", parameters={}, sampler=sampler,
             log_density=lambda x: np.where(np.asarray(x) == 1.0, np.nan, 0.0),
         )
-        with pytest.raises(RuntimeError, match="^lrt: 133/400 replicates failed on 'edge'$"):
+        with pytest.raises(RuntimeError, match="^lrt: 129/400 replicates failed on 'edge'$"):
             estimate_power(edge, ("lrt", "ks"), 20, replicates=400, seed=1, null_b=200,
                            cache_dir=cache_dir)
 
@@ -239,8 +251,9 @@ class TestReplicateUnits:
             monkeypatch.setattr(harness, "_available_cores", lambda cores=cores: cores)
             runs[cores] = null_pitos_pvalues(30, 250, 3)[0].tobytes()
         monkeypatch.setattr(core, "_DEDUP_LIMIT", 0)
-        looped = np.array([pitos_p_value(replicate_dataset(3, 0, 0, r, uniform, 30), pairs).p_uncorrected
-                           for r in range(250)])
+        rng = stream(3, 0, 0, 1)
+        looped = np.array([pitos_p_value(replicate_dataset(uniform, 30, rng), pairs).p_uncorrected
+                           for _ in range(250)])
         assert runs[1] == runs[2] == runs[5] == looped.tobytes()
 
     def test_pools_never_nest(self, monkeypatch, cache_dir, pool_sizes):
@@ -312,18 +325,93 @@ class TestCounts:
         assert (type(report.n), report.n, type(report.replicates)) == (int, 8, int)
 
 
-class TestCommonRandomNumbers:
-    def test_same_dataset_for_every_test(self):
-        # the replicate dataset is a pure function of (seed, path, dist, n):
-        # re-deriving it during any test evaluation checksums identically
-        import zlib
+def _job_rows(monkeypatch, run):
+    """The row blocks `run()` scored with ks, in job order; `run` must keep
+    its jobs on one thread and have ks in its roster."""
+    seen = []
+    score = harness.batch_statistics
 
-        dist = zoo_lookup("uniform")
-        checksums = set()
-        for _ in range(3):
-            rows = np.vstack([replicate_dataset(11, 0, 0, r, dist, 40) for r in range(5)])
-            checksums.add(zlib.crc32(np.ascontiguousarray(rows).tobytes()))
-        assert len(checksums) == 1
+    def record(test, rows, sorted_rows, log_density):
+        if test == "ks":
+            seen.append(rows.copy())
+        return score(test, rows, sorted_rows, log_density)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(harness, "batch_statistics", record)
+        run()
+    return seen
+
+
+def _sequential_draws(dist, n, replicates, seed, scen_code, dist_index):
+    rng = stream(seed, scen_code, dist_index, 1)
+    return np.vstack([dist.sample(n, rng) for _ in range(replicates)])
+
+
+class TestJobStream:
+    """A job (seed, scenario code, distribution index) draws replicate r as
+    the (r+1)-th dist.sample(n, rng) call on the one stream (scen, dist, 1)."""
+
+    @pytest.mark.parametrize("name", [
+        "uniform", "beta(0.6,0.6)", "phi-laplace", "discrete-uniform-99",
+        "bump(0.3,0.02,0.1)", "gap(0.5,0.05)", "outliers(0.05,0.005)",
+    ])
+    def test_zoo_law_rows_are_sequential_draws(self, monkeypatch, cache_dir, name):
+        # grid point g is the job with distribution index g
+        dist = zoo_lookup(name)
+        blocks = _job_rows(monkeypatch, lambda: power_curve(
+            dist, "ks", [7, 11], replicates=6, seed=4, null_b=50, cache_dir=cache_dir))
+        expected = [_sequential_draws(dist, n, 6, 4, 0, g) for g, n in enumerate((7, 11))]
+        assert [b.tobytes() for b in blocks] == [e.tobytes() for e in expected]
+
+    @pytest.mark.parametrize("scenario", SCENARIOS)
+    def test_scenario_rows_are_sequential_draws(self, monkeypatch, cache_dir, scenario):
+        blocks = _job_rows(monkeypatch, lambda: scenario_study(
+            scenario, 3, 5, 9, seed=2, tests=("ks",), null_b=50, cache_dir=cache_dir))
+        dists = ScenarioSampler(scenario, 2).draw_many(3)
+        expected = [_sequential_draws(dist, 9, 5, 2, scenario_code(scenario), d)
+                    for d, dist in enumerate(dists)]
+        assert [b.tobytes() for b in blocks] == [e.tobytes() for e in expected]
+
+    @pytest.mark.parametrize("cores, block_rows", [(1, None), (2, None), (5, None), (2, 4)])
+    def test_rows_do_not_depend_on_cores_or_block_size(self, monkeypatch, cache_dir, cores,
+                                                       block_rows):
+        monkeypatch.setattr(harness, "_available_cores", lambda: cores)
+        if block_rows is not None:  # blocks of 4 + 4 + 4 + 1 rows
+            monkeypatch.setattr(classic, "ROW_BLOCK_VALUES", block_rows * 9)
+        dist = zoo_lookup("gap(0.5,0.05)")
+        blocks = _job_rows(monkeypatch, lambda: estimate_power(
+            dist, ("pitos", "ks"), 9, replicates=13, seed=8, null_b=50, cache_dir=cache_dir))
+        assert len(blocks) == (1 if block_rows is None else 4)
+        assert np.concatenate(blocks).tobytes() == _sequential_draws(dist, 9, 13, 8, 0, 0).tobytes()
+
+
+class TestCommonRandomNumbers:
+    def test_same_dataset_for_every_test(self, monkeypatch, cache_dir):
+        # every test of a roster scores replicate r's dataset, the job's
+        # (r+1)-th replicate_dataset draw; pitos sees it sorted
+        seen = {}
+        score, planned = harness.batch_statistics, harness.planned_p_values
+
+        def record(test, rows, sorted_rows, log_density):
+            seen.setdefault(test, []).append(rows.copy())
+            return score(test, rows, sorted_rows, log_density)
+
+        def record_pitos(sorted_rows, pairs):
+            seen.setdefault("pitos", []).append(sorted_rows.copy())
+            return planned(sorted_rows, pairs)
+
+        monkeypatch.setattr(harness, "_available_cores", lambda: 1)
+        monkeypatch.setattr(harness, "batch_statistics", record)
+        monkeypatch.setattr(harness, "planned_p_values", record_pitos)
+        dist = zoo_lookup("beta(0.6,0.6)")
+        estimate_power(dist, ("pitos", "ad", "ks", "lrt"), 40, replicates=5, seed=11,
+                       null_b=50, cache_dir=cache_dir)
+        rng = stream(11, 0, 0, 1)
+        expected = np.vstack([replicate_dataset(dist, 40, rng) for _ in range(5)])
+        assert sorted(seen) == ["ad", "ks", "lrt", "pitos"]
+        for test in ("ad", "ks", "lrt"):
+            assert np.concatenate(seen[test]).tobytes() == expected.tobytes()
+        assert np.concatenate(seen["pitos"]).tobytes() == np.sort(expected, axis=1).tobytes()
 
     def test_joint_run_matches_single_test_runs(self, cache_dir):
         kw = dict(n=20, alpha=0.05, replicates=200, seed=5, null_b=500, cache_dir=cache_dir)
@@ -432,8 +520,9 @@ class TestNullPvalueCdf:
     def test_rejects_lrt_and_bad_grid(self):
         with pytest.raises(ValueError):
             null_pvalue_cdf("lrt", n=10, replicates=10, seed=0, grid=[0.5])
-        with pytest.raises(ValueError):
-            null_pvalue_cdf("pitos", n=10, replicates=10, seed=0, grid=[1.5])
+        for grid in ([1.5], [0.05, np.nan], [-np.inf]):
+            with pytest.raises(ValueError, match=r"^grid must be a 1-D array of thresholds in "):
+                null_pvalue_cdf("pitos", n=10, replicates=10, seed=0, grid=grid)
 
 
 def _md5(values):
@@ -441,29 +530,29 @@ def _md5(values):
 
 
 class TestFrozenCalibration:
-    """md5s of calibration outputs, frozen from the implementation in which
-    calibration scored its pitos replicates in a loop of its own; ks's was
-    re-captured when each empirical null came to draw its rows from one
-    stream per (seed, n)."""
+    """md5s of calibration outputs, re-captured when each job came to draw
+    its replicate datasets from one stream; the pitos p-values of a given
+    dataset are still those of the implementation in which calibration
+    scored its pitos replicates in a loop of its own."""
 
     @pytest.mark.parametrize("args, pair_seed, expected", [
         ((1, 200, 3), None,
-         ("eca4a54cda73d9fa7176f00e0b115383", "c4c8318358795a6c57630d81494aeb2f")),
+         ("c6d0819775fcaa63701fed728092a353", "7a7ff9f7998bd7a9c66f6f029a2c3499")),
         ((12, 400, 4), None,
-         ("9c6d938fa3b609805d656868a9b78f1a", "901b8fd41fef567a906e367a195598c5")),
+         ("df01cf614d8edca481be29e4cea97d47", "c00a9ac35a07072459909ff5aff43262")),
         ((30, 300, 5), None,
-         ("ed791f9bf4367be3749f4cb8f09b8fd4", "25fb16dac24171341d4b930037509a45")),
+         ("4ad384c329e7d88bea77163a0eaef4d5", "37e6af96aaf8216a6f5132e883a323f5")),
         ((25, 200, 6), 7,
-         ("c6e58f0bcb253df29209889190087b0a", "82e42c68e3abda8d1566c3744c87f840")),
+         ("06a28cbe6c5060bc4dd60d2ab918445a", "5f507f9f8c95c9d5055d468194758b30")),
     ])
     def test_null_pitos_pvalues(self, args, pair_seed, expected):
         p, p_star = null_pitos_pvalues(*args, pair_seed=pair_seed)
         assert (_md5(p), _md5(p_star)) == expected
 
     @pytest.mark.parametrize("test, expected", [
-        ("pitos", {"p": "cbad9d5594c75b9c2d9dc8f877f4d493",
-                   "p_star": "f4f6df05699631e2ed9ec077f155bd15"}),
-        ("ks", {"p": "86aa9296c6d2ff7426a0b67df77cda75"}),
+        ("pitos", {"p": "c212e8d06b68edb69b42451536387d7b",
+                   "p_star": "4363951a301f3200c01bcd2d5048a2f7"}),
+        ("ks", {"p": "64c3a619869dfe3e5ae1bf1514828359"}),
     ])
     def test_null_pvalue_cdf(self, cache_dir, test, expected):
         out = null_pvalue_cdf(test, 15, 300, 2, np.linspace(0.0, 1.0, 201),
