@@ -62,8 +62,18 @@ VERDICT_NULL_B = 100_000  # null draws behind a single verdict's p-value
 NULL_CACHE_VERSION = 2
 CACHE_ENV_VAR = "PITOS_CACHE_DIR"
 # Row-batched work (a null build, a study's replicates) holds at most this
-# many sample values at once.
-ROW_BLOCK_VALUES = 1 << 21
+# many sample values at once, in one buffer reused block after block: 256 KB
+# of doubles, so a block and the AD kernel's block-sized temporaries stay in
+# a 2 MB L2.  null-cache op_a_s (four builds at n = 100, B = 20k), medians of
+# interleaved `perfbench/run.py --seconds 10` runs on 2 cores: seeds 1-3,
+# 2^14 0.100 s, 2^15 0.097, 2^16 0.124, 2^17 0.145, 2^18 0.139; seeds 4-8,
+# 2^14 0.108, 2^15 0.108, 2^16 0.138.  Four builds, best of 3, median of 3
+# interleaved runs: n = 1000, B = 20k 906 / 886 / 1086 ms at 2^14 / 2^15 /
+# 2^16; n = 100, B = 100k 470 / 481 / 528 ms.  The old 2^21-value blocks,
+# a fresh array each, read 0.211 s against 0.110 s for this size (10 pairs
+# at --seconds 25).  mc-study does not move: its jobs fit one block at any
+# of these sizes.
+ROW_BLOCK_VALUES = 1 << 15
 # Nulls read from cache files stay in memory up to this many bytes of
 # statistics (20 verdict nulls of VERDICT_NULL_B); the least recently used
 # go first.
@@ -172,13 +182,17 @@ def batch_statistics(test, rows, sorted_rows=None, log_density=None):
     return kernel(rows, log_density) if test == "lrt" else kernel(rows)
 
 
-def replicate_rows(count, n, draw_block):
-    """Yield (lo, draw_block(lo, size)), the (size, n) rows of replicates
-    lo..lo+size-1, covering 0..count-1 in blocks of at most
-    ROW_BLOCK_VALUES values."""
+def replicate_rows(count, n, fill):
+    """Yield (lo, rows), the (size, n) rows of replicates lo..lo+size-1 as
+    filled in place by fill(rows), covering 0..count-1 in blocks of at most
+    ROW_BLOCK_VALUES values.  Every block is a view of one buffer, which the
+    next block overwrites: use a block's rows before asking for the next."""
     step = max(1, ROW_BLOCK_VALUES // n)
+    buf = np.empty(min(step, count) * n)
     for lo in range(0, count, step):
-        yield lo, draw_block(lo, min(step, count - lo))
+        rows = buf[: min(step, count - lo) * n].reshape(-1, n)
+        fill(rows)
+        yield lo, rows
 
 
 # ---------------------------------------------------------------------------
@@ -256,9 +270,13 @@ def build_empirical_null(test, n, B=VERDICT_NULL_B, seed=0, *, alternative=None,
         return cached
 
     stats = np.empty(B)
-    rng = stream(seed, NULL_ROWS, n)  # replicate_rows asks for its blocks in order
-    for lo, rows in replicate_rows(B, n, lambda lo, size: rng.random((size, n))):
-        stats[lo : lo + len(rows)] = batch_statistics(test, rows, log_density=log_density)
+    needs_sort = _BATCH[test][1]
+    rng = stream(seed, NULL_ROWS, n)  # replicate_rows fills its blocks in order
+    for lo, rows in replicate_rows(B, n, lambda rows: rng.random(out=rows)):
+        if needs_sort:
+            rows.sort(axis=1)  # in place: these kernels read only the sorted rows
+        stats[lo : lo + len(rows)] = batch_statistics(
+            test, rows, sorted_rows=rows if needs_sort else None, log_density=log_density)
     nan_count = int(np.isnan(stats).sum())
     if nan_count:
         raise ValueError(f"{test} null at n={n}: {nan_count}/{B} statistics are NaN")

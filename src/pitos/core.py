@@ -129,8 +129,16 @@ def conditional_os_cdf(n, i, j, x, y):
 # The combination sums per-pair terms in fixed blocks of 2^20, which fixes the
 # summation order; the kernel is elementwise, so it runs in passes of
 # PASS_SIZE pairs that keep its temporaries cache resident without changing
-# any bit.  Small passes also keep what a pool thread's malloc arena retains
-# small.
+# any bit.  The kernel allocates none of them per call: they live in a
+# Scratch that its caller keeps (the pair sequence for planned_p_values, one
+# per worker for the block loop).  glibc serves an allocation above its mmap
+# threshold (128 KB, raised only when a larger mmapped chunk is freed) with
+# fresh pages, and trims free heap top beyond twice that threshold, so a
+# ~0.5 MB temporary made and freed on every call page-faults on every call.
+# Measured with nulls read from files (nothing had freed a 16 MB null-build
+# block to raise the threshold): 9.4k-10.1k minor faults per n = 30 study of
+# 4 x 400 replicates and 9.1k-10.3k per n = 100 power run of 300; with the
+# kept buffers, 2-130 and about 490 (glibc, 2 cores).
 _BLOCK = 1 << 20
 
 # At most this many pairs (n <= 943), without detail: gather the terms of the
@@ -166,7 +174,31 @@ def thread_map(fn, items, threads):
         return list(pool.map(run, items))
 
 
-def _shaped_terms(sorted_x, shapes, terms, u=None):
+class Scratch:
+    """Buffers the u kernel reuses from call to call, owned by its caller.
+
+    get(name, shape, dtype) hands out a C-contiguous view of the named flat
+    buffer, which grows when a call needs more than it holds.  The calls
+    planned_p_values makes on one pair sequence share the Scratch objects
+    that sequence keeps, and each block-loop worker keeps one, so the
+    kernel's temporaries are allocated once; see _BLOCK for why that
+    matters.  One call at a time: concurrent calls each take their own.
+    """
+
+    __slots__ = ("_buffers",)
+
+    def __init__(self):
+        self._buffers = {}
+
+    def get(self, name, shape, dtype=float):
+        size = math.prod(shape)
+        buf = self._buffers.get(name)
+        if buf is None or buf.size < size:
+            buf = self._buffers[name] = np.empty(size, dtype)
+        return buf[:size].reshape(shape)
+
+
+def _shaped_terms(sorted_x, shapes, terms, u, scratch):
     """Cauchy-combination terms of one pass of pairs against a sorted sample,
     or against each row of an (R, n) block of them, from the pairs'
     PairShapes; `terms` has the pairs' length or shape (R, pairs).
@@ -175,17 +207,22 @@ def _shaped_terms(sorted_x, shapes, terms, u=None):
     the cases of conditional_os_cdf differ only in the shapes, the offset and
     the denominator of the ratio.  A zero denominator (x_(i) = 1 with i < j,
     x_(i) = 0 with i > j) pins the conditional mass, so u = 1.  The term of
-    p = 2 min(u, 1 - u) is tan(pi (1 - p - 1/2)); `u`, if given, gets u.
+    p = 2 min(u, 1 - u) is tan(pi (1 - p - 1/2)); `u`, if not None, gets u.
+    The gathers, the denominator and the pinned mask live in the Scratch
+    `scratch`; every step writes in place.
     """
-    xi = sorted_x[..., shapes.i0]
-    den = np.where(shapes.below, 1.0 - xi, np.where(shapes.above, xi, 1.0))
-    pinned = den <= 0.0
-    den[pinned] = 1.0
-    ratio = sorted_x[..., shapes.j0]
-    np.subtract(ratio, np.where(shapes.below, xi, 0.0), out=ratio)
+    shape = terms.shape
+    den = np.take(sorted_x, shapes.i0, axis=-1, out=scratch.get("den", shape), mode="clip")
+    ratio = np.take(sorted_x, shapes.j0, axis=-1, out=scratch.get("ratio", shape), mode="clip")
+    np.subtract(ratio, den, out=ratio, where=shapes.below)
+    # den holds x_(i); make it 1 - x_(i) below, keep x_(i) above, 1 on the diagonal
+    np.subtract(1.0, den, out=den, where=shapes.below)
+    np.copyto(den, 1.0, where=shapes.diag)
+    pinned = np.less_equal(den, 0.0, out=scratch.get("pinned", shape, bool))
+    np.copyto(den, 1.0, where=pinned)
     np.divide(ratio, den, out=ratio)
     np.clip(ratio, 0.0, 1.0, out=ratio)
-    ratio[pinned] = 1.0
+    np.copyto(ratio, 1.0, where=pinned)
     if u is None:
         u = ratio
     _sp.betainc(shapes.a, shapes.b, ratio, out=u)
@@ -200,13 +237,15 @@ def _shaped_terms(sorted_x, shapes, terms, u=None):
     return terms
 
 
-def _pair_terms(sorted_x, i_idx, j_idx, n, terms, u=None):
+def _pair_terms(sorted_x, i_idx, j_idx, n, terms, u=None, scratch=None):
     """Terms of 1-based index pair arrays, in passes of PASS_SIZE pairs:
-    each pass builds its pairs' shapes and runs _shaped_terms."""
+    each pass builds its pairs' shapes and runs _shaped_terms on `scratch`."""
+    if scratch is None:
+        scratch = Scratch()
     for lo in range(0, len(terms), PASS_SIZE):
         hi = min(lo + PASS_SIZE, len(terms))
         shapes = pair_shapes(i_idx[lo:hi], j_idx[lo:hi], n)
-        _shaped_terms(sorted_x, shapes, terms[lo:hi], None if u is None else u[lo:hi])
+        _shaped_terms(sorted_x, shapes, terms[lo:hi], None if u is None else u[lo:hi], scratch)
     return terms
 
 
@@ -218,13 +257,26 @@ def planned_p_values(sorted_rows, pairs):
     cached on `pairs` (PairSequence.plan), and each row's terms are gathered
     into sequence order and summed pairwise as one summation block: the
     block loop's sum when m <= 2^20.  The caller keeps R x U near PASS_SIZE.
-    Each p is the upper Cauchy tail of its row's statistic, taken with
-    math.atan as pitos_p_value takes it, not with a vectorized arctan whose
-    bits may differ.
+    The terms, their R x m gather and the kernel's temporaries live in a
+    Scratch borrowed from the sequence and handed back, so calls on one
+    sequence reuse the same buffers.  Each p is the upper Cauchy tail of
+    its row's statistic, taken with math.atan as pitos_p_value takes it,
+    not with a vectorized arctan whose bits may differ.
     """
     shapes, inv = pairs.plan()
-    terms = _shaped_terms(sorted_rows, shapes, np.empty((len(sorted_rows), len(shapes.a))))
-    statistics = np.take(terms, inv, axis=1).sum(axis=1) / pairs.m
+    rows = len(sorted_rows)
+    try:
+        scratch = pairs._scratch.pop()  # list.pop is atomic: no two calls share one
+    except IndexError:
+        scratch = Scratch()
+    try:
+        terms = _shaped_terms(sorted_rows, shapes, scratch.get("terms", (rows, len(shapes.a))),
+                              None, scratch)
+        gathered = np.take(terms, inv, axis=1, out=scratch.get("gathered", (rows, pairs.m)),
+                           mode="clip")
+        statistics = gathered.sum(axis=1) / pairs.m
+    finally:
+        pairs._scratch.append(scratch)
     return statistics, np.array([_cauchy_tail(s) for s in statistics.tolist()])
 
 
@@ -293,16 +345,18 @@ def pitos_p_value(sample, pairs=None, *, detail=False):
     else:
         starts = range(0, m, _BLOCK)
         workers = min(len(starts), _available_cores())  # one block runs inline
-        # One terms buffer per worker, allocated here: memory a pool thread
-        # allocates stays with that thread's malloc arena after it exits.
-        spare = [np.empty(min(m, _BLOCK)) for _ in range(workers)]
+        # One terms buffer and one Scratch per worker, reused by every block
+        # and pass (see _BLOCK).  Allocated here, on the calling thread: what
+        # a pool thread allocates stays in its malloc arena after it exits.
+        spare = [(np.empty(min(m, _BLOCK)), Scratch()) for _ in range(workers)]
 
         def block_sum(lo):
             hi = min(lo + _BLOCK, m)
-            terms = spare.pop()  # never empty: at most `workers` blocks run at once
+            terms, scratch = spare.pop()  # never empty: at most `workers` blocks run at once
             u = u_all[lo:hi] if detail else None
-            total = _pair_terms(sorted_x, pairs.i[lo:hi], pairs.j[lo:hi], n, terms[: hi - lo], u).sum()
-            spare.append(terms)
+            total = _pair_terms(sorted_x, pairs.i[lo:hi], pairs.j[lo:hi], n, terms[: hi - lo], u,
+                                scratch).sum()
+            spare.append((terms, scratch))
             return float(total)
 
         total = 0.0

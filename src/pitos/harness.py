@@ -130,10 +130,11 @@ def _pvalue_matrix(dist, tests, n, replicates, seed, scen_code, dist_index, pair
     test but pitos to its empirical null.  Replicate r is the (r+1)-th
     replicate_dataset draw from the job's one stream (scen_code,
     dist_index, 1).  Replicates are drawn, in order, and scored in the row
-    blocks of classic.replicate_rows, so at most one block of
-    ROW_BLOCK_VALUES values is held.  Within a block, pitos scores one unit
-    of consecutive rows per available core, each unit on its own thread
-    writing its own columns.  A sequence of at most 2^16 pairs scores a
+    blocks of classic.replicate_rows, so two blocks of at most
+    ROW_BLOCK_VALUES values are held: the rows and their sorted copy, each
+    one buffer reused from block to block.  Within a block, pitos scores
+    one unit of consecutive rows per available core, each unit on its own
+    thread writing its own columns.  A sequence of at most 2^16 pairs scores a
     unit's sorted rows through core.planned_p_values, max(1, PASS_SIZE // U)
     rows per call for its U distinct pairs; a longer one runs pitos_p_value
     row by row.  Every statistic is computed per row, so neither the block
@@ -145,18 +146,21 @@ def _pvalue_matrix(dist, tests, n, replicates, seed, scen_code, dist_index, pair
     workers = _available_cores()
     planned = pairs is not None and pairs.m <= _DEDUP_LIMIT
     step = max(1, PASS_SIZE // len(pairs.plan()[0].a)) if planned else 1
-    rng = stream(seed, scen_code, dist_index, 1)  # replicate_rows asks for its blocks in order
+    rng = stream(seed, scen_code, dist_index, 1)  # replicate_rows fills its blocks in order
+    sorted_buf = None
 
-    def draw_block(lo, size):
-        rows = np.empty((size, n))
-        for k in range(size):
+    def draw_block(rows):
+        for k in range(len(rows)):
             rows[k] = replicate_dataset(dist, n, rng)
-        return rows
 
     for lo, rows in replicate_rows(replicates, n, draw_block):
         if np.any(np.isnan(rows)) or rows.min() < 0.0 or rows.max() > 1.0:
             raise ValueError(f"sampler for {dist.name!r} produced values outside [0, 1]")
-        sorted_rows = np.sort(rows, axis=1)
+        if sorted_buf is None:
+            sorted_buf = np.empty_like(rows)  # the first block is the largest
+        sorted_rows = sorted_buf[: len(rows)]
+        np.copyto(sorted_rows, rows)
+        sorted_rows.sort(axis=1)
         for k, test in enumerate(tests):
             if test == "pitos":
                 unit = -(-len(rows) // workers)

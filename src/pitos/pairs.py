@@ -121,7 +121,7 @@ def _sample_size(n):
 class PairShapes(NamedTuple):
     """The data-free half of the u kernel for a run of pairs (i, j): 0-based
     indices, the Beta shapes (a, b) of each pair's conditional CDF, and its
-    branch (i < j below, i > j above, the diagonal neither)."""
+    branch (i < j below, i > j above, i = j diag)."""
 
     i0: np.ndarray
     j0: np.ndarray
@@ -129,6 +129,7 @@ class PairShapes(NamedTuple):
     b: np.ndarray
     below: np.ndarray
     above: np.ndarray
+    diag: np.ndarray
 
 
 def pair_shapes(i, j, n):
@@ -137,7 +138,7 @@ def pair_shapes(i, j, n):
     above = i > j
     a = np.where(below, j - i, j).astype(float)
     b = np.where(above, i - j, n + 1 - j).astype(float)
-    return PairShapes(i - 1, j - 1, a, b, below, above)
+    return PairShapes(i - 1, j - 1, a, b, below, above, i == j)
 
 
 _PLAN_LOCK = threading.Lock()  # threads scoring one sequence build its plan once
@@ -161,6 +162,9 @@ class PairSequence:
     j: np.ndarray
     warp: tuple = DEFAULT_WARP
     _plan: tuple = field(default=None, repr=False, compare=False)
+    # core.Scratch buffers free for planned_p_values calls on this sequence:
+    # one per call that ever ran at once, reused by every later call
+    _scratch: list = field(default_factory=list, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.i = np.ascontiguousarray(self.i, dtype=np.int64)

@@ -1,6 +1,7 @@
 """Benchmark statistics against hand arithmetic, the brute-force KS oracle,
 empirical-null machinery, and add-one p-value validity."""
 
+import hashlib
 import json
 import math
 import re
@@ -215,19 +216,21 @@ class TestEmpiricalNull:
 
     def test_null_rows_are_not_the_random_pair_source(self, cache_dir, monkeypatch):
         # the random-pair source is stream (seed, 0xA17); null replicate 2583
-        # (0xA17) once drew from that same stream
+        # (0xA17) once drew from that same stream.  ks sorts each block in
+        # place, so the rows it scores are the null stream's rows, sorted.
         rows = []
         statistics = classic.batch_statistics
 
         def recorded(test, block, **kw):
-            rows.append(block)
+            rows.append(block.copy())
             return statistics(test, block, **kw)
 
         monkeypatch.setattr(classic, "batch_statistics", recorded)
         build_empirical_null("ks", 5, 2584, 9, cache_dir=cache_dir)
-        replicate = np.concatenate(rows)[0xA17]
-        assert replicate.tobytes() == stream(9, NULL_ROWS, 5).random((2584, 5))[-1].tobytes()
-        assert not np.any(np.isin(replicate, stream(9, 0xA17).random(5)))
+        scored = np.concatenate(rows)
+        expected = np.sort(stream(9, NULL_ROWS, 5).random((2584, 5)), axis=1)
+        assert scored.tobytes() == expected.tobytes()
+        assert not np.any(np.isin(scored[0xA17], stream(9, 0xA17).random(5)))
 
     def test_lrt_needs_density_and_label_separates_cache(self, cache_dir):
         # the label is composed from the alternative's name and parameters
@@ -296,6 +299,31 @@ class TestEmpiricalNull:
             EmpiricalNull("ks", 5, np.array([0.3, 0.1]), B=2, seed=0)
         with pytest.raises(ValueError):
             EmpiricalNull("ks", 5, np.array([0.1, 0.3]), B=3, seed=0)
+
+
+class TestFrozenNullBytes:
+    """sha256 of each classical null's statistics.tobytes(), captured from
+    builds that drew their rows in blocks of 2^21 values.  In blocks of
+    2^15 values, (30, 1000) is one block and (1000, 3000) spans 94.  Unlike
+    the comparison with batch_statistics, these catch a kernel rewritten in
+    place."""
+
+    SHA256 = {
+        (30, 1000, "ad"): "9d9945ef29d14d815d7c9615537c4bb1512631acc5b8fc5450e29c2ad7847e6c",
+        (30, 1000, "nb"): "00be36791f538d89a7649327bbf06690d2b9daac0d13d997456fada7e456b0bf",
+        (30, 1000, "ks"): "4a64140b22b673309ed8f0a40e29a0d9fef4e4bb170584678fe4cf51ce158034",
+        (30, 1000, "cvm"): "74624accbf5bc5776bec03ea931870cc9a762f190fccec16e135d50523e27c1f",
+        (1000, 3000, "ad"): "f80d991be668b25cd0925cb4107af96ebc7c4fe50138f3269013fe9d56c9176c",
+        (1000, 3000, "nb"): "a35b1393d59b060b31a3a4f9893244c52f86f2f3f35475752011efa708c4be6c",
+        (1000, 3000, "ks"): "525aee31c5a8001b7d7b6032666deee1dcf889fcb116b590ed0097ae286a9ec7",
+        (1000, 3000, "cvm"): "40c0a38ee8696be32b4137cb37e3e382dcebd4ec24cb52a85f0beb79b9233bd2",
+    }
+
+    @pytest.mark.parametrize("n, B, test", sorted(SHA256))
+    def test_null_statistics_bytes(self, cache_dir, n, B, test):
+        null = build_empirical_null(test, n, B, seed=4, cache_dir=cache_dir)
+        digest = hashlib.sha256(null.statistics.tobytes()).hexdigest()
+        assert digest == self.SHA256[n, B, test]
 
 
 class TestNullMemo:

@@ -341,6 +341,86 @@ class TestPlannedPValues:
         self._check(monkeypatch, self._sorted_rows(n, 100, 30), generate_pairs(n), (64,))
 
 
+class TestReusedScratch:
+    """planned_p_values borrows the kernel's buffers from its pair sequence
+    and hands them back, so a call finds the values an earlier call left in
+    them: larger or smaller blocks, pinned or tied rows.  Each row's
+    statistic and p must still be pitos_p_value's, bitwise."""
+
+    @staticmethod
+    def _rows(n):
+        # tied rows with exact 0s and 1s (pinned denominators both ways)
+        # first, so the uniform rows scored after them reuse stale buffers
+        rng = np.random.default_rng(700 + n)
+        rows = [
+            np.where(np.arange(n) < n // 2, 0.0, 1.0),
+            np.zeros(n),
+            np.ones(n),
+            rng.choice([0.0, 0.25, 0.5, 1.0], n),
+            rng.choice(np.concatenate(([0.0, 1.0], rng.random(n // 4 + 1))), n),
+        ] + [rng.random(n) for _ in range(4)]
+        return np.sort(np.array(rows), axis=1)
+
+    @pytest.mark.parametrize("n", [1, 2, 30, 100, 943])
+    def test_rows_match_their_verdicts_on_reused_buffers(self, monkeypatch, n):
+        seq = generate_pairs(n)
+        rows = self._rows(n)
+        verdicts = [pitos_p_value(row, seq) for row in rows]
+        with monkeypatch.context() as patch:
+            patch.setattr(core, "_DEDUP_LIMIT", 0)
+            looped = [pitos_p_value(row, seq) for row in rows]
+        for got, want in zip(verdicts, looped):
+            assert (got.statistic.hex(), got.p_value.hex()) == (want.statistic.hex(), want.p_value.hex())
+        want_s = np.array([v.statistic for v in looped])
+        want_p = np.array([v.p_uncorrected for v in looped])
+
+        made = []
+
+        class CountedScratch(core.Scratch):
+            def __init__(self):
+                made.append(self)
+                super().__init__()
+
+        monkeypatch.setattr(core, "Scratch", CountedScratch)
+        fresh = PairSequence(n=n, i=seq.i, j=seq.j)  # no buffers handed back yet
+        # every row at once, then R = 1 row by row, then 4, 4 and a ragged 1
+        for calls in ((len(rows),), (1,) * len(rows), (4, 4, 1)):
+            lo = 0
+            for r in calls:
+                s, p = core.planned_p_values(rows[lo : lo + r], fresh)
+                assert s.tobytes() == want_s[lo : lo + r].tobytes(), (n, calls, lo)
+                assert p.tobytes() == want_p[lo : lo + r].tobytes(), (n, calls, lo)
+                lo += r
+        assert len(made) == 1  # one call at a time: every call reused the first buffers
+
+    def test_concurrent_calls_never_share_buffers(self):
+        # more threads than cores, each scoring its own rows many times on one
+        # sequence; two calls sharing a buffer would mix their rows' terms
+        n, threads = 30, 8
+        seq = generate_pairs(n)
+        fresh = PairSequence(n=n, i=seq.i, j=seq.j)
+        rows = [np.sort(np.random.default_rng(40 + t).random((5 + t, n)), axis=1)
+                for t in range(threads)]
+        want = [core.planned_p_values(r, seq)[0].tobytes() for r in rows]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            start = threading.Barrier(threads)
+
+            def score(t):
+                start.wait(timeout=60)
+                return all(core.planned_p_values(rows[t], fresh)[0].tobytes() == want[t]
+                           for _ in range(40))
+
+            with core.ThreadPoolExecutor(max_workers=threads) as pool:
+                got = [f.result(timeout=120) for f in [pool.submit(score, t) for t in range(threads)]]
+        finally:
+            sys.setswitchinterval(interval)
+        assert got == [True] * threads
+        assert 1 <= len(fresh._scratch) <= threads  # each kept once, none lost
+        assert len({id(s) for s in fresh._scratch}) == len(fresh._scratch)
+
+
 def _frozen_data(n):
     return np.random.default_rng(1000 + n).random(n)
 

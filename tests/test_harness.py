@@ -3,7 +3,12 @@ edge case, determinism across runs and thread counts, each job's one dataset
 stream, common random numbers, and rank bookkeeping."""
 
 import hashlib
+import json
 import math
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -558,3 +563,63 @@ class TestFrozenCalibration:
         out = null_pvalue_cdf(test, 15, 300, 2, np.linspace(0.0, 1.0, 201),
                               null_b=500, cache_dir=cache_dir)
         assert {k: _md5(v) for k, v in out.series.items()} == expected
+
+
+class TestPageFaults:
+    """A process that scores replicates again and again must reuse the
+    kernel's buffers, not take fresh pages from the OS on every call.  Nulls
+    are built by another process and read from their files, as a study on a
+    warm cache reads them; the probe runs each op twice and counts the minor
+    page faults of the second run."""
+
+    # Fixed before the change that introduced it: a tenth of the fewest
+    # faults of the same runs when each kernel call allocated its own
+    # temporaries (9.1k-10.3k for the power run, 9.4k-10.1k for the study;
+    # glibc, 2 cores).
+    BOUND = 900
+
+    PROBE = textwrap.dedent("""
+        import json, resource, sys
+        from pitos import harness
+
+        cache = sys.argv[1]
+        roster = ("pitos", "ad", "nb", "ks", "cvm")
+
+        def faults(call):
+            before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+            call()
+            return resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+
+        def study():
+            harness.scenario_study("random-gap", 4, 400, 30, seed=1, tests=roster,
+                                   null_b=20000, cache_dir=cache, threads=2)
+
+        def power():
+            harness.estimate_power("gap(0.5,0.05)", roster, 100, replicates=300, seed=1,
+                                   null_b=20000, cache_dir=cache)
+
+        counts = {}
+        for name, call in (("study", study), ("power", power)):
+            call()
+            counts[name] = faults(call)
+        print(json.dumps(counts))
+    """)
+
+    BUILD = textwrap.dedent("""
+        import sys
+        from pitos import classic
+        for n in (30, 100):
+            for test in ("ad", "nb", "ks", "cvm"):
+                classic.build_empirical_null(test, n, 20000, 1, cache_dir=sys.argv[1])
+    """)
+
+    @pytest.mark.skipif(sys.platform != "linux", reason="counts glibc's page faults")
+    def test_second_runs_reuse_the_kernel_buffers(self, tmp_path):
+        env = {"PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src"),
+               "PATH": "/usr/bin:/bin"}
+        for script in (self.BUILD, self.PROBE):
+            proc = subprocess.run([sys.executable, "-c", script, str(tmp_path)], env=env,
+                                  capture_output=True, text=True, timeout=600)
+            assert proc.returncode == 0, proc.stderr
+        counts = json.loads(proc.stdout)
+        assert counts["study"] <= self.BOUND and counts["power"] <= self.BOUND, counts
