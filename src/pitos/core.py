@@ -19,7 +19,7 @@ from typing import NamedTuple
 import numpy as np
 from scipy import special as _sp
 
-from .pairs import PASS_SIZE, PairSequence, generate_pairs, pair_shapes
+from .pairs import PASS_SIZE, PairSequence, _sample_size, generate_pairs, pair_shapes
 
 __all__ = [
     "OrderedSample",
@@ -28,6 +28,7 @@ __all__ = [
     "conditional_os_cdf",
     "corrected_p_value",
     "pitos_p_value",
+    "plan_rows",
     "planned_p_values",
 ]
 
@@ -109,7 +110,8 @@ def conditional_os_cdf(n, i, j, x, y):
     result to 1, since the conditioning event pins the j-th order statistic
     to the boundary.
     """
-    if int(i) != i or int(j) != j or not (1 <= i <= n and 1 <= j <= n):
+    n = _sample_size(n)
+    if not all(math.isfinite(k) and int(k) == k and 1 <= k <= n for k in (i, j)):
         raise ValueError(f"indices must be integers in 1..{n}, got ({i}, {j})")
     if not (0.0 <= x <= 1.0 and 0.0 <= y <= 1.0):
         raise ValueError("x and y must lie in [0, 1]")
@@ -129,9 +131,10 @@ def conditional_os_cdf(n, i, j, x, y):
 # The combination sums per-pair terms in fixed blocks of 2^20, which fixes the
 # summation order; the kernel is elementwise, so it runs in passes of
 # PASS_SIZE pairs that keep its temporaries cache resident without changing
-# any bit.  The kernel allocates none of them per call: they live in a
-# Scratch that its caller keeps (the pair sequence for planned_p_values, one
-# per worker for the block loop).  glibc serves an allocation above its mmap
+# any bit; planned_p_values sums each row as one block (see plan_rows).  The
+# kernel allocates none of its temporaries per call: they live in a Scratch
+# that its caller keeps (the pair sequence for planned_p_values, one per
+# worker for the block loop).  glibc serves an allocation above its mmap
 # threshold (128 KB, raised only when a larger mmapped chunk is freed) with
 # fresh pages, and trims free heap top beyond twice that threshold, so a
 # ~0.5 MB temporary made and freed on every call page-faults on every call.
@@ -140,13 +143,6 @@ def conditional_os_cdf(n, i, j, x, y):
 # 4 x 400 replicates and 9.1k-10.3k per n = 100 power run of 300; with the
 # kept buffers, 2-130 and about 490 (glibc, 2 cores).
 _BLOCK = 1 << 20
-
-# At most this many pairs (n <= 943), without detail: gather the terms of the
-# distinct pairs.  Best of interleaved runs on 2 cores, gather vs block loop:
-# dedup cached (the harness), n = 30 0.087 vs 0.114 ms, n = 943 23.4 vs 23.9,
-# n = 2000 68.4 vs 66.9; cold, n = 943 27.9 vs 24.3 ms, n = 3000 135 vs 119.
-# Must stay <= _BLOCK: the gather regime is exactly one summation block.
-_DEDUP_LIMIT = 1 << 16
 
 
 def _available_cores():
@@ -178,10 +174,10 @@ class Scratch:
     """Buffers the u kernel reuses from call to call, owned by its caller.
 
     get(name, shape, dtype) hands out a C-contiguous view of the named flat
-    buffer, which grows when a call needs more than it holds.  The calls
-    planned_p_values makes on one pair sequence share the Scratch objects
-    that sequence keeps, and each block-loop worker keeps one, so the
-    kernel's temporaries are allocated once; see _BLOCK for why that
+    buffer, which grows when a call needs more than it holds.  The harness's
+    planned_p_values calls on one pair sequence share the Scratch objects
+    that sequence keeps, and each worker of a verdict's block loop keeps one,
+    so the kernel's temporaries are allocated once; see _BLOCK for why that
     matters.  One call at a time: concurrent calls each take their own.
     """
 
@@ -249,19 +245,29 @@ def _pair_terms(sorted_x, i_idx, j_idx, n, terms, u=None, scratch=None):
     return terms
 
 
+def plan_rows(pairs):
+    """Rows per planned_p_values call on `pairs`, max(1, PASS_SIZE // U) for
+    its U distinct pairs; 0 above one summation block (m > 2^20, n > 11,134),
+    where a row's one pairwise sum on the plan is not the block loop's and
+    rows go through pitos_p_value."""
+    if pairs.m > _BLOCK:
+        return 0
+    return max(1, PASS_SIZE // len(pairs.plan()[0].a))
+
+
 def planned_p_values(sorted_rows, pairs):
     """(statistic, p_uncorrected) arrays of an (R, n) block of sorted rows,
-    each bitwise the pitos_p_value verdict's of its row.
+    each bitwise the pitos_p_value verdict's of its row when the sequence is
+    one summation block (plan_rows, which also gives R, is not 0).
 
     One _shaped_terms pass evaluates the R x U distinct pairs of the plan
     cached on `pairs` (PairSequence.plan), and each row's terms are gathered
-    into sequence order and summed pairwise as one summation block: the
-    block loop's sum when m <= 2^20.  The caller keeps R x U near PASS_SIZE.
-    The terms, their R x m gather and the kernel's temporaries live in a
-    Scratch borrowed from the sequence and handed back, so calls on one
-    sequence reuse the same buffers.  Each p is the upper Cauchy tail of
-    its row's statistic, taken with math.atan as pitos_p_value takes it,
-    not with a vectorized arctan whose bits may differ.
+    into sequence order and summed pairwise as one block.  The terms, their
+    R x m gather and the kernel's temporaries live in a Scratch borrowed
+    from the sequence and handed back, so calls on one sequence reuse the
+    same buffers.  Each p is the upper Cauchy tail of its row's statistic,
+    taken with math.atan as pitos_p_value takes it, not with a vectorized
+    arctan whose bits may differ.
     """
     shapes, inv = pairs.plan()
     rows = len(sorted_rows)
@@ -314,17 +320,13 @@ def pitos_p_value(sample, pairs=None, *, detail=False):
 
     Notes
     -----
-    Each pair's u, p and Cauchy term come from one kernel pass.  Sequences of
-    m <= 2^16 pairs without detail are scored as a block of one row by
-    planned_p_values, which evaluates the distinct pairs of the plan cached
-    on the sequence (PairSequence.plan) and gathers their terms into one
-    summation block; the harness scores its replicates through the same
-    kernel, many rows per call.  The rest walk fixed blocks of 2^20 pairs,
-    on a pool of one thread per available core when there is more than one
-    block (betainc releases the GIL).  Terms are summed pairwise within a
-    block and the block sums left to right, so results are bitwise the same
-    run to run, in either regime, for any number of rows per kernel call
-    and for any core count.
+    Each pair's u, p and Cauchy term come from one kernel pass.  The verdict
+    walks fixed blocks of 2^20 pairs, on a pool of one thread per available
+    core when there is more than one block (betainc releases the GIL).
+    Terms are summed pairwise within a block and the block sums left to
+    right, so results are bitwise the same run to run and for any core
+    count.  A caller scoring many rows on one sequence of at most 2^20
+    pairs has planned_p_values, which gives each row these bits.
     """
     if not isinstance(sample, OrderedSample):
         sample = OrderedSample(sample)
@@ -339,32 +341,28 @@ def pitos_p_value(sample, pairs=None, *, detail=False):
     sorted_x = sample.order_statistics
     m = pairs.m
     u_all = np.empty(m) if detail else None
-    if m <= _DEDUP_LIMIT and not detail:
-        statistics, ps = planned_p_values(sorted_x[np.newaxis], pairs)
-        statistic, p = float(statistics[0]), float(ps[0])
-    else:
-        starts = range(0, m, _BLOCK)
-        workers = min(len(starts), _available_cores())  # one block runs inline
-        # One terms buffer and one Scratch per worker, reused by every block
-        # and pass (see _BLOCK).  Allocated here, on the calling thread: what
-        # a pool thread allocates stays in its malloc arena after it exits.
-        spare = [(np.empty(min(m, _BLOCK)), Scratch()) for _ in range(workers)]
+    starts = range(0, m, _BLOCK)
+    workers = min(len(starts), _available_cores())  # one block runs inline
+    # One terms buffer and one Scratch per worker, reused by every block and
+    # pass (see _BLOCK).  Allocated here, on the calling thread: what a pool
+    # thread allocates stays in its malloc arena after it exits.
+    spare = [(np.empty(min(m, _BLOCK)), Scratch()) for _ in range(workers)]
 
-        def block_sum(lo):
-            hi = min(lo + _BLOCK, m)
-            terms, scratch = spare.pop()  # never empty: at most `workers` blocks run at once
-            u = u_all[lo:hi] if detail else None
-            total = _pair_terms(sorted_x, pairs.i[lo:hi], pairs.j[lo:hi], n, terms[: hi - lo], u,
-                                scratch).sum()
-            spare.append((terms, scratch))
-            return float(total)
+    def block_sum(lo):
+        hi = min(lo + _BLOCK, m)
+        terms, scratch = spare.pop()  # never empty: at most `workers` blocks run at once
+        u = u_all[lo:hi] if detail else None
+        total = _pair_terms(sorted_x, pairs.i[lo:hi], pairs.j[lo:hi], n, terms[: hi - lo], u,
+                            scratch).sum()
+        spare.append((terms, scratch))
+        return float(total)
 
-        total = 0.0
-        # left to right in block order, whatever ran them
-        for block_total in thread_map(block_sum, starts, workers):
-            total += block_total
-        statistic = total / m
-        p = _cauchy_tail(statistic)
+    total = 0.0
+    # left to right in block order, whatever ran them
+    for block_total in thread_map(block_sum, starts, workers):
+        total += block_total
+    statistic = total / m
+    p = _cauchy_tail(statistic)
 
     pair_detail = None
     if detail:

@@ -23,10 +23,10 @@ import numpy as np
 
 from .classic import (CLASSIC_TESTS, batch_statistics, build_empirical_null, empirical_p_value,
                       replicate_rows)
-from .core import (_DEDUP_LIMIT, _available_cores, corrected_p_value, pitos_p_value,
+from .core import (_available_cores, corrected_p_value, pitos_p_value, plan_rows,
                    planned_p_values, thread_map)
 from .distributions import DistributionSpec, ScenarioSampler, scenario_code, zoo_lookup
-from .pairs import PASS_SIZE, _positive_int, _sample_size, generate_pairs, random_pairs
+from .pairs import _positive_int, _sample_size, generate_pairs, random_pairs
 from .streams import stream
 
 __all__ = [
@@ -134,9 +134,10 @@ def _pvalue_matrix(dist, tests, n, replicates, seed, scen_code, dist_index, pair
     ROW_BLOCK_VALUES values are held: the rows and their sorted copy, each
     one buffer reused from block to block.  Within a block, pitos scores
     one unit of consecutive rows per available core, each unit on its own
-    thread writing its own columns.  A sequence of at most 2^16 pairs scores a
-    unit's sorted rows through core.planned_p_values, max(1, PASS_SIZE // U)
-    rows per call for its U distinct pairs; a longer one runs pitos_p_value
+    thread writing its own columns.  A sequence of one summation block (at
+    most 2^20 pairs, n <= 11,134) scores a unit's sorted rows through
+    core.planned_p_values, core.plan_rows rows per call, on the plan's
+    shapes and the sequence's kept buffers; a longer one runs pitos_p_value
     row by row.  Every statistic is computed per row, so neither the block
     size, the rows per call nor the core count changes a p-value.  A
     replicate any test cannot score is a NaN, counted against
@@ -144,8 +145,7 @@ def _pvalue_matrix(dist, tests, n, replicates, seed, scen_code, dist_index, pair
     """
     out = np.empty((len(tests), replicates))
     workers = _available_cores()
-    planned = pairs is not None and pairs.m <= _DEDUP_LIMIT
-    step = max(1, PASS_SIZE // len(pairs.plan()[0].a)) if planned else 1
+    step = plan_rows(pairs) if pairs is not None else 0  # 0: row by row through pitos_p_value
     rng = stream(seed, scen_code, dist_index, 1)  # replicate_rows fills its blocks in order
     sorted_buf = None
 
@@ -167,9 +167,9 @@ def _pvalue_matrix(dist, tests, n, replicates, seed, scen_code, dist_index, pair
 
                 def score(first):
                     end = min(first + unit, len(rows))
-                    for r in range(first, end, step):
-                        stop = min(r + step, end)
-                        if planned:
+                    for r in range(first, end, step or 1):
+                        if step:
+                            stop = min(r + step, end)
                             out[k, lo + r : lo + stop] = planned_p_values(sorted_rows[r:stop], pairs)[1]
                         else:
                             out[k, lo + r] = pitos_p_value(rows[r], pairs).p_uncorrected

@@ -200,9 +200,10 @@ class PairSequence:
     def plan(self):
         """(PairShapes of the distinct pairs, inverse), built once and cached:
         core.planned_p_values evaluates the distinct pairs against a block of
-        rows and gathers each row's terms by `inverse`.  Verdicts below 2^16
-        pairs and the harness's replicates go through it, so every replicate
-        scored on one sequence shares the sort and the shapes."""
+        rows and gathers each row's terms by `inverse`.  The harness scores
+        its replicates through it on sequences of at most 2^20 pairs, so
+        every replicate scored on one sequence shares the sort and the
+        shapes; single verdicts never build it."""
         if self._plan is None:
             with _PLAN_LOCK:
                 if self._plan is None:

@@ -79,7 +79,7 @@ def ecdf_sup_distance(values):
 def pytest_addoption(parser):
     parser.addoption(
         "--calibration-sweep", action="store_true",
-        help="also run the slow null-calibration sweep at n in {10, 300, 1000}",
+        help="also run the slow null-calibration sweep at n in {10, 300, 1000, 3000}",
     )
 
 

@@ -20,8 +20,8 @@ Criteria, in order:
 10. Byte-identical CLI outputs across reruns and thread counts.
 
 Opt-in, outside the default run: criteria 1 and 2's bounds on the corrected
-null p-values at n in {10, 300, 1000} (`pytest tests/test_acceptance.py
---calibration-sweep -k sweep -s`, about 85 s on 2 cores).
+null p-values at n in {10, 300, 1000, 3000} (`pytest tests/test_acceptance.py
+--calibration-sweep -k sweep -s`, about 2.5 min on 2 cores).
 """
 
 import json
@@ -111,7 +111,7 @@ def test_criterion_02_null_pvalue_cdf_shape(null_pvalues_n30):
                   ok, detail)
 
 
-@pytest.mark.parametrize("n", [10, 300, 1000])
+@pytest.mark.parametrize("n", [10, 300, 1000, 3000])
 def test_criteria_01_02_calibration_sweep(n, request):
     if not request.config.getoption("--calibration-sweep"):
         pytest.skip("slow; run with --calibration-sweep")

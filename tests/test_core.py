@@ -1,11 +1,16 @@
 """Core test behavior: hand-executed small cases, permutation invariance,
 clamping and saturation, duplicate-pair upweighting, the correction
 ordering, frozen output bits, the vectorized kernel against the scalar
-conditional CDF, and null uniformity of the per-pair transform."""
+conditional CDF, betainc at large integer shapes against the binomial tail,
+and null uniformity of the per-pair transform."""
 
+import decimal
+import functools
 import hashlib
+import math
 import sys
 import threading
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -57,6 +62,13 @@ class TestConditionalOsCdf:
         for i, j in [(0, 1), (1, 6), (-1, 2), (2.5, 2)]:
             with pytest.raises(ValueError):
                 conditional_os_cdf(5, i, j, 0.5, 0.5)
+        for i, j in [(math.inf, 2), (1, -math.inf), (math.nan, 2), (1, np.nan)]:
+            with pytest.raises(ValueError, match=r"indices must be integers in 1\.\.5"):
+                conditional_os_cdf(5, i, j, 0.5, 0.5)
+        # n is a sample size, checked as pairs checks it
+        for n in (2.5, 0, -3, True, math.inf, math.nan):
+            with pytest.raises(ValueError, match="sample size must be a positive integer"):
+                conditional_os_cdf(n, 1, 2, 0.2, 0.5)
         with pytest.raises(ValueError):
             conditional_os_cdf(5, 1, 2, 0.5, 1.5)
 
@@ -99,28 +111,27 @@ class TestPitosPValue:
         b = pitos_p_value(data, double)
         assert a.p_value == b.p_value  # mean of two equal terms is the term
 
-    def test_dedup_is_bitwise_neutral(self, monkeypatch):
-        # gathering the distinct pairs' terms and the block loop give the same
-        # bits, on both sides of the 2^16-pair limit (n = 943 | 944)
+    def test_dedup_is_bitwise_neutral(self):
+        # gathering the plan's distinct pairs' terms (planned_p_values, one row)
+        # and the verdict's block loop give the same bits, up to one summation
+        # block and on both sides of the harness's old 2^16-pair limit
         for n in (1, 2, 30, 100, 943, 944, 3000):
             data = np.random.default_rng(13 + n).random(n)
             pairs = generate_pairs(n)
-            monkeypatch.setattr(core, "_DEDUP_LIMIT", 1 << 20)
-            gathered = pitos_p_value(data, pairs)
-            monkeypatch.setattr(core, "_DEDUP_LIMIT", 0)
+            statistics, ps = core.planned_p_values(np.sort(data)[np.newaxis], pairs)
             looped = pitos_p_value(data, pairs)
-            assert gathered.statistic.hex() == looped.statistic.hex(), n
-            assert gathered.p_value.hex() == looped.p_value.hex(), n
+            assert statistics[0].hex() == looped.statistic.hex(), n
+            assert core.corrected_p_value(ps[0]).hex() == looped.p_value.hex(), n
 
     def test_detail_and_bare_verdicts_share_bits(self):
-        # detail always takes the block loop; below the limit a bare verdict gathers
+        # bare and detail verdicts walk the same blocks, at any n
         for n in (1, 30, 943, 944):
             data = np.random.default_rng(41 + n).random(n)
             bare, rich = pitos_p_value(data), pitos_p_value(data, detail=True)
             assert bare.statistic.hex() == rich.statistic.hex(), n
             assert bare.p_uncorrected.hex() == rich.p_uncorrected.hex(), n
 
-    def test_dedup_only_below_the_limit_and_never_for_detail(self, monkeypatch):
+    def test_single_verdicts_never_build_a_plan(self, monkeypatch):
         calls = []
         real = PairSequence.dedup
 
@@ -129,23 +140,30 @@ class TestPitosPValue:
             return real(seq)
 
         monkeypatch.setattr(PairSequence, "dedup", spy)
-        for n, detail in ((944, False), (944, True), (30, True), (30, False)):
+        for n, detail in ((944, False), (944, True), (30, True), (30, False), (1, False)):
             seq = generate_pairs(n)
             fresh = PairSequence(n=n, i=seq.i, j=seq.j)  # a cold sequence, nothing cached
             pitos_p_value(np.random.default_rng(n).random(n), fresh, detail=detail)
-        assert calls == [30]
+            assert fresh._plan is None and fresh._scratch == [], (n, detail)
+        assert calls == []
 
-    def test_dedup_limit_fits_one_block_and_ends_at_n_943(self):
-        assert core._DEDUP_LIMIT <= core._BLOCK
-        assert pair_count(943) <= core._DEDUP_LIMIT < pair_count(944)
+    def test_plan_regime_ends_at_n_11134(self):
+        # the plan scores rows while the sequence is one summation block
+        assert pair_count(11134) <= core._BLOCK < pair_count(11135)
+        assert core.plan_rows(generate_pairs(30)) == 92  # U = 710 distinct pairs
+        assert core.plan_rows(generate_pairs(944)) == 1
+        assert core.plan_rows(generate_pairs(11134)) == 1
+        beyond = generate_pairs(11135)
+        assert core.plan_rows(beyond) == 0
+        assert beyond._plan is None  # deciding builds no plan
 
     def test_block_pool_is_bitwise_neutral(self, monkeypatch):
         # many short blocks: the sum is the same left-to-right block sum
         # whether one thread or a pool evaluated the blocks
         data = np.random.default_rng(23).random(150)
         pairs = generate_pairs(150)
-        monkeypatch.setattr(core, "_DEDUP_LIMIT", 0)
         monkeypatch.setattr(core, "_BLOCK", 997)
+        assert core.plan_rows(pairs) == 0  # the plan's edge follows the block size
         u = np.empty(pairs.m)
         terms = core._pair_terms(np.sort(data), pairs.i, pairs.j, 150, np.empty(pairs.m), u)
         total = 0.0
@@ -220,7 +238,7 @@ class TestPitosPValue:
 
 
 class TestPairPlan:
-    """The gather regime reads its shapes from the plan cached on the
+    """planned_p_values reads its shapes from the plan cached on the
     sequence; it must give the block loop's bits."""
 
     @staticmethod
@@ -229,16 +247,14 @@ class TestPairPlan:
         rng = np.random.default_rng(7 + n)
         return rng.choice(np.concatenate(([0.0, 1.0], rng.random(n // 4 + 1))), n)
 
-    def test_plan_matches_block_loop(self, monkeypatch):
+    def test_plan_matches_block_loop(self):
         for n in list(range(1, 401)) + [943, 944, 3000]:
             pairs = generate_pairs(n)
             for data in (self._tied_boundary_data(n), np.random.default_rng(n).random(n)):
-                monkeypatch.setattr(core, "_DEDUP_LIMIT", core._BLOCK)
-                planned = pitos_p_value(data, pairs)
-                monkeypatch.setattr(core, "_DEDUP_LIMIT", 0)
+                statistics, ps = core.planned_p_values(np.sort(data)[np.newaxis], pairs)
                 looped = pitos_p_value(data, pairs)
-                assert planned.statistic.hex() == looped.statistic.hex(), n
-                assert planned.p_uncorrected.hex() == looped.p_uncorrected.hex(), n
+                assert statistics[0].hex() == looped.statistic.hex(), n
+                assert ps[0].hex() == looped.p_uncorrected.hex(), n
             assert pairs._plan is not None, n
 
     def test_plan_is_built_once_from_dedup(self, monkeypatch):
@@ -253,7 +269,7 @@ class TestPairPlan:
         seq = generate_pairs(50)
         fresh = PairSequence(n=50, i=seq.i, j=seq.j)
         for r in range(3):
-            pitos_p_value(np.random.default_rng(r).random(50), fresh)
+            core.planned_p_values(np.sort(np.random.default_rng(r).random((2, 50)), axis=1), fresh)
         assert calls == [50]
         shapes, inv = fresh.plan()
         ui, uj, dedup_inv = real(fresh)
@@ -276,6 +292,7 @@ class TestPairPlan:
         seq = generate_pairs(900)
         data = np.random.default_rng(3).random(900)
         want = pitos_p_value(data, seq).statistic
+        row = np.sort(data)[np.newaxis]
         threads = 8
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
@@ -287,12 +304,12 @@ class TestPairPlan:
 
                 def score():
                     start.wait(timeout=60)
-                    return pitos_p_value(data, fresh)
+                    return core.planned_p_values(row, fresh)[0][0]
 
                 with core.ThreadPoolExecutor(max_workers=threads) as pool:
                     got = [f.result(timeout=60) for f in [pool.submit(score) for _ in range(threads)]]
                 assert calls == [900]
-                assert all(v.statistic.hex() == want.hex() for v in got)
+                assert all(s.hex() == want.hex() for s in got)
         finally:
             sys.setswitchinterval(interval)
 
@@ -317,10 +334,8 @@ class TestPlannedPValues:
         return np.sort(np.array(rows), axis=1)
 
     @staticmethod
-    def _check(monkeypatch, rows, pairs, calls):
-        with monkeypatch.context() as patch:
-            patch.setattr(core, "_DEDUP_LIMIT", 0)
-            looped = [pitos_p_value(row, pairs) for row in rows]
+    def _check(rows, pairs, calls):
+        looped = [pitos_p_value(row, pairs) for row in rows]
         want_s = np.array([v.statistic for v in looped])
         want_p = np.array([v.p_uncorrected for v in looped])
         for r in calls:
@@ -329,16 +344,16 @@ class TestPlannedPValues:
             assert np.concatenate([p for _, p in parts]).tobytes() == want_p.tobytes(), (pairs.n, r)
 
     @pytest.mark.slow
-    def test_every_small_n_matches_the_block_loop(self, monkeypatch):
+    def test_every_small_n_matches_the_block_loop(self):
         # 4 rows per n: R = 3 does not divide them, R = 64 takes them in one
-        # call, and R = 1 is pitos_p_value's own call
+        # call, and R = 1 is one row per call, as the harness scores from n = 944
         for n in list(range(1, 401)) + [943]:
-            self._check(monkeypatch, self._sorted_rows(n, 2, 2), generate_pairs(n), (1, 3, 64))
+            self._check(self._sorted_rows(n, 2, 2), generate_pairs(n), (1, 3, 64))
 
     @pytest.mark.parametrize("n", [30, 100])
-    def test_calls_of_64_rows_match_the_block_loop(self, monkeypatch, n):
+    def test_calls_of_64_rows_match_the_block_loop(self, n):
         # 130 rows: two full calls of 64 and a ragged call of 2
-        self._check(monkeypatch, self._sorted_rows(n, 100, 30), generate_pairs(n), (64,))
+        self._check(self._sorted_rows(n, 100, 30), generate_pairs(n), (64,))
 
 
 class TestReusedScratch:
@@ -361,16 +376,11 @@ class TestReusedScratch:
         ] + [rng.random(n) for _ in range(4)]
         return np.sort(np.array(rows), axis=1)
 
-    @pytest.mark.parametrize("n", [1, 2, 30, 100, 943])
+    @pytest.mark.parametrize("n", [1, 2, 30, 100, 943, 944])
     def test_rows_match_their_verdicts_on_reused_buffers(self, monkeypatch, n):
         seq = generate_pairs(n)
         rows = self._rows(n)
-        verdicts = [pitos_p_value(row, seq) for row in rows]
-        with monkeypatch.context() as patch:
-            patch.setattr(core, "_DEDUP_LIMIT", 0)
-            looped = [pitos_p_value(row, seq) for row in rows]
-        for got, want in zip(verdicts, looped):
-            assert (got.statistic.hex(), got.p_value.hex()) == (want.statistic.hex(), want.p_value.hex())
+        looped = [pitos_p_value(row, seq) for row in rows]
         want_s = np.array([v.statistic for v in looped])
         want_p = np.array([v.p_uncorrected for v in looped])
 
@@ -529,6 +539,105 @@ class TestKernelMatchesScalar:
         chunked = core._pair_terms(x, i, j, 500, np.empty(5000), chunked_u)
         assert whole_u.tobytes() == chunked_u.tobytes()
         assert whole.tobytes() == chunked.tobytes()
+
+
+def _binomial_tail(a, b, x):
+    """I_x(a, b) for integer shapes, from I_x(a, b) = P(Bin(a + b - 1, x) >= a).
+
+    The tail on the far side of the mean from a is summed term by term in
+    40-digit decimal arithmetic, from the exact binomial coefficient
+    (math.comb) and the exact binary value of x, until a term falls below
+    1e-45 of the sum; the other tail is its complement.  Every step rounds
+    at 40 digits, so the sum is good to far below double precision, where a
+    log-space oracle built on math.lgamma is not (about 3.5e-10 relative at
+    shapes near 1e5).
+    """
+    big = a + b - 1
+    with decimal.localcontext(decimal.Context(prec=40, Emin=-10**8, Emax=10**8)):
+        p = decimal.Decimal(x)
+        q = 1 - p
+        upper = a > big * p
+        k = a if upper else a - 1
+        term = decimal.Decimal(math.comb(big, k)) * p**k * q ** (big - k)
+        total = decimal.Decimal(0)
+        while True:
+            total += term
+            if upper and k < big:
+                term = term * (big - k) / (k + 1) * p / q
+                k += 1
+            elif not upper and k > 0:
+                term = term * k / (big - k + 1) * q / p
+                k -= 1
+            else:
+                break
+            if term < total * decimal.Decimal("1e-45"):
+                break
+        return total if upper else 1 - total
+
+
+class TestBetaincAtLargeShapes:
+    """The u kernel's betainc at integer shapes up to 1e5, where verdicts at
+    n = 1e5 evaluate it, against the binomial-tail identity."""
+
+    # Points, seed and tolerances fixed before the first run.  Corner shapes,
+    # then 8 pairs drawn log-uniformly in [1, 1e5]; x at z sd about the
+    # Beta(a, b) mean, points outside (0, 1) skipped.
+    CORNERS = [(1, 100_000), (100_000, 1), (2, 50_000), (50_000, 2), (300, 99_700),
+               (5_000, 5_000), (100_000, 100_000), (37, 41)]
+    SEED = 2610
+    Z = (-5.0, -3.0, -1.5, 0.0, 1.5, 3.0, 5.0)
+    # u <= 1/2 (the side that p = 2 min(u, 1 - u) keeps): relative error at most
+    # 2e-12, about 10x the worst scipy showed at shapes up to 1e5 and +-7 sd
+    # (2.7e-13 against 40-digit sums).  u > 1/2: absolute error at most 1e-13,
+    # about 7x the worst measured there (1.4e-14).
+    RTOL = 2e-12
+    ATOL = 1e-13
+
+    @classmethod
+    @functools.cache
+    def _scored(cls):
+        """(a, b, x, u, reference) at every point; the kernel's u must be the
+        scalar conditional_os_cdf's."""
+        rng = np.random.default_rng(cls.SEED)
+        drawn = np.rint(np.exp(rng.uniform(0.0, math.log(1e5), (8, 2)))).astype(int).tolist()
+        scored = []
+        for a, b in cls.CORNERS + [tuple(pair) for pair in drawn]:
+            mean = a / (a + b)
+            sd = math.sqrt(a * b / ((a + b) ** 2 * (a + b + 1)))
+            for x in (mean + z * sd for z in cls.Z):
+                if not 0.0 < x < 1.0:
+                    continue
+                n = a + b - 1  # the diagonal pair (a, a) of a sample of n has shapes (a, b)
+                u = conditional_os_cdf(n, a, a, 0.0, x)
+                kernel_u = np.empty(1)
+                core._pair_terms(np.full(n, x), np.array([a]), np.array([a]), n, np.empty(1),
+                                 kernel_u)
+                assert kernel_u[0] == u, (a, b, x)
+                scored.append((a, b, x, u, _binomial_tail(a, b, x)))
+        assert len(scored) == 95
+        return scored
+
+    def test_oracle_matches_exact_rational_sums(self):
+        for a, b in ((1, 1), (2, 5), (37, 41), (60, 3), (1, 90)):
+            big = a + b - 1
+            for x in (1e-3, 0.02, 0.3, 0.5, 0.61, 0.97):
+                p = Fraction(x)
+                exact = sum(math.comb(big, k) * p**k * (1 - p) ** (big - k) for k in range(a, big + 1))
+                got = Fraction(_binomial_tail(a, b, x))
+                assert abs(got - exact) <= exact / 10**30, (a, b, x)  # relative to u
+
+    def test_u_below_one_half_to_relative_error(self):
+        bad = [(a, b, x, u, float(ref)) for a, b, x, u, ref in self._scored()
+               if ref <= decimal.Decimal("0.5") and abs(decimal.Decimal(u) - ref) > decimal.Decimal(self.RTOL) * ref]
+        assert bad == []
+
+    @pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
+        "scipy's betainc at a = 2, b = 50,000, x = 8.24e-5 (u = 0.917) is off by 1.86e-13; "
+        "the reference agrees with a 50-digit mpmath evaluation to 1e-37"))
+    def test_u_above_one_half_to_absolute_error(self):
+        bad = [(a, b, x, u, float(ref)) for a, b, x, u, ref in self._scored()
+               if ref > decimal.Decimal("0.5") and abs(decimal.Decimal(u) - ref) > decimal.Decimal(self.ATOL)]
+        assert bad == []
 
 
 class TestNullUniformityOfPairTransform:

@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from pitos import classic, core, harness
+from pitos import classic, harness
 from pitos.core import pitos_p_value
 from pitos.harness import (
     ALL_TESTS,
@@ -255,11 +255,34 @@ class TestReplicateUnits:
         for cores in (1, 2, 5):
             monkeypatch.setattr(harness, "_available_cores", lambda cores=cores: cores)
             runs[cores] = null_pitos_pvalues(30, 250, 3)[0].tobytes()
-        monkeypatch.setattr(core, "_DEDUP_LIMIT", 0)
         rng = stream(3, 0, 0, 1)
         looped = np.array([pitos_p_value(replicate_dataset(uniform, 30, rng), pairs).p_uncorrected
                            for _ in range(250)])
         assert runs[1] == runs[2] == runs[5] == looped.tobytes()
+
+    @pytest.mark.parametrize("n, replicates", [(944, 6), (3000, 4), (11134, 2), (11135, 2)])
+    def test_pitos_rows_are_their_verdicts_on_both_sides_of_the_plan_edge(self, monkeypatch, n,
+                                                                          replicates):
+        # up to n = 11,134 (one summation block) the harness scores on the
+        # plan, one row per call; from n = 11,135 it runs pitos_p_value per row
+        calls = {"planned": 0, "verdicts": 0}
+
+        def counted(name, fn):
+            def call(*args):
+                calls[name] += 1
+                return fn(*args)
+            return call
+
+        monkeypatch.setattr(harness, "planned_p_values", counted("planned", harness.planned_p_values))
+        monkeypatch.setattr(harness, "pitos_p_value", counted("verdicts", harness.pitos_p_value))
+        got = null_pitos_pvalues(n, replicates, 5)[0]
+        planned = n <= 11134
+        assert calls == {"planned": replicates if planned else 0,
+                         "verdicts": 0 if planned else replicates}
+        rng = stream(5, 0, 0, 1)
+        want = [pitos_p_value(replicate_dataset(zoo_lookup("uniform"), n, rng), generate_pairs(n))
+                .p_uncorrected for _ in range(replicates)]
+        assert got.tobytes() == np.array(want).tobytes()
 
     def test_pools_never_nest(self, monkeypatch, cache_dir, pool_sizes):
         # units would take a pool of 2 threads; inside a study's job pool they run inline
@@ -578,6 +601,11 @@ class TestPageFaults:
     # glibc, 2 cores).
     BOUND = 900
 
+    # Fixed before the n = 1000 run first ran: a tenth of the fewest faults
+    # per replicate (502-821) of the same run when each replicate was a
+    # pitos_p_value call that allocated its own buffers (glibc, 2 cores).
+    BOUND_PER_REPLICATE_AT_1000 = 50
+
     PROBE = textwrap.dedent("""
         import json, resource, sys
         from pitos import harness
@@ -590,18 +618,17 @@ class TestPageFaults:
             call()
             return resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
 
-        def study():
-            harness.scenario_study("random-gap", 4, 400, 30, seed=1, tests=roster,
-                                   null_b=20000, cache_dir=cache, threads=2)
-
-        def power():
-            harness.estimate_power("gap(0.5,0.05)", roster, 100, replicates=300, seed=1,
-                                   null_b=20000, cache_dir=cache)
-
+        ops = {
+            "study": lambda: harness.scenario_study("random-gap", 4, 400, 30, seed=1, tests=roster,
+                                                    null_b=20000, cache_dir=cache, threads=2),
+            "power": lambda: harness.estimate_power("gap(0.5,0.05)", roster, 100, replicates=300,
+                                                    seed=1, null_b=20000, cache_dir=cache),
+            "pitos-1000": lambda: harness.null_pitos_pvalues(1000, 40, 1),
+        }
         counts = {}
-        for name, call in (("study", study), ("power", power)):
-            call()
-            counts[name] = faults(call)
+        for name in sys.argv[2:]:
+            ops[name]()
+            counts[name] = faults(ops[name])
         print(json.dumps(counts))
     """)
 
@@ -613,13 +640,24 @@ class TestPageFaults:
                 classic.build_empirical_null(test, n, 20000, 1, cache_dir=sys.argv[1])
     """)
 
-    @pytest.mark.skipif(sys.platform != "linux", reason="counts glibc's page faults")
-    def test_second_runs_reuse_the_kernel_buffers(self, tmp_path):
+    @staticmethod
+    def _run(script, *args):
         env = {"PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src"),
                "PATH": "/usr/bin:/bin"}
-        for script in (self.BUILD, self.PROBE):
-            proc = subprocess.run([sys.executable, "-c", script, str(tmp_path)], env=env,
-                                  capture_output=True, text=True, timeout=600)
-            assert proc.returncode == 0, proc.stderr
-        counts = json.loads(proc.stdout)
+        proc = subprocess.run([sys.executable, "-c", script, *map(str, args)], env=env,
+                              capture_output=True, text=True, timeout=600)
+        assert proc.returncode == 0, proc.stderr
+        return proc.stdout
+
+    @pytest.mark.skipif(sys.platform != "linux", reason="counts glibc's page faults")
+    def test_second_runs_reuse_the_kernel_buffers(self, tmp_path):
+        self._run(self.BUILD, tmp_path)
+        counts = json.loads(self._run(self.PROBE, tmp_path, "study", "power"))
         assert counts["study"] <= self.BOUND and counts["power"] <= self.BOUND, counts
+
+    @pytest.mark.skipif(sys.platform != "linux", reason="counts glibc's page faults")
+    def test_rows_at_n_1000_reuse_the_plan_buffers(self, tmp_path):
+        # pitos alone, in a process of its own: one row per planned_p_values
+        # call on the kept buffers of the sequence
+        counts = json.loads(self._run(self.PROBE, tmp_path, "pitos-1000"))
+        assert counts["pitos-1000"] <= 40 * self.BOUND_PER_REPLICATE_AT_1000, counts
