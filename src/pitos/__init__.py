@@ -29,7 +29,7 @@ from .harness import (
     power_curve,
     scenario_study,
 )
-from .pairs import PairSequence, generate_pairs, halton, random_pairs
+from .pairs import PairSequence, generate_pairs, halton
 from .rosenblatt import ConditionalLaw, iid_laws, randomized_pit, rosenblatt_transform
 from .special import beta_cdf, beta_inv_cdf, log_beta
 
@@ -65,7 +65,6 @@ __all__ = [
     "null_pvalue_cdf",
     "pitos_p_value",
     "power_curve",
-    "random_pairs",
     "randomized_pit",
     "rosenblatt_transform",
     "scenario_study",

@@ -37,9 +37,9 @@ from .harness import (
     replicate_dataset,
     scenario_study,
 )
-from .pairs import _positive_int, _sample_size, generate_pairs
+from .pairs import DEFAULT_WARP, _positive_int, _sample_size, generate_pairs
 from .rosenblatt import randomized_pit
-from .streams import stream
+from .streams import _check_key, stream
 
 __all__ = ["main", "entrypoint"]
 
@@ -137,10 +137,7 @@ def _write_study_table(args, null_b, header, rows, config):
     _write_text(args.out, _csv_lines(header, rows))
     if args.out is None:
         return
-    config.update(
-        subcommand=args.subcommand, null_b=null_b,
-        random_pair_seed=args.random_pair_seed, seed=args.seed,
-    )
+    config.update(subcommand=args.subcommand, null_b=null_b, seed=args.seed)
     sidecar = Path(str(args.out) + ".meta.json")
     sidecar.write_text(json.dumps(config, indent=2, sort_keys=True) + "\n", encoding="utf-8")
 
@@ -160,8 +157,8 @@ def _cmd_test(args):
     for flag, value in unused.items():
         if value is not None:
             raise CliError(f"{flag} applies only to {scope}")
+    seed, _ = _check_key(args.seed, ())  # refused even where no draw reads it
     values = read_values(args.input)
-    seed = args.seed
     if args.null_cdf is not None:
         spec = zoo_lookup(args.null_cdf)
         rng = stream(seed, 0, 0, 0) if spec.is_discrete else None
@@ -170,10 +167,7 @@ def _cmd_test(args):
     sample = OrderedSample(values)
 
     if args.method == "pitos":
-        if args.warp is not None:
-            pairs = generate_pairs(sample.n, warp=args.warp)
-        else:
-            pairs = generate_pairs(sample.n)
+        pairs = generate_pairs(sample.n, warp=args.warp or DEFAULT_WARP)
         verdict = pitos_p_value(sample, pairs, detail=args.emit_detail is not None)
         if args.emit_detail is not None:
             det = verdict.detail
@@ -258,7 +252,6 @@ def _cmd_power(args):
     reports = power_curve(
         dist, tests, n_grid, args.alpha, reps, args.seed,
         null_b=null_b, cache_dir=args.cache_dir, threads=args.threads,
-        pair_seed=args.random_pair_seed,
     )
     rows = [
         (rep.distribution["name"], rep.n, test, rep.alpha, rep.replicates,
@@ -279,14 +272,13 @@ def _cmd_power(args):
 
 
 def _cmd_calibrate(args):
-    grid = _comma_list("--grid", args.grid, float, "numbers") if args.grid else list(CALIBRATION_GRID)
+    grid = (list(CALIBRATION_GRID) if args.grid is None
+            else _comma_list("--grid", args.grid, float, "numbers"))
     if not all(0.0 <= t <= 1.0 for t in grid):  # NaN fails both
         raise CliError(f"--grid takes thresholds in [0, 1], got {args.grid!r}")
     reps, null_b = _resolve_counts(args)
     result = null_pvalue_cdf(
-        args.test, args.n, reps, args.seed, grid,
-        null_b=null_b, cache_dir=args.cache_dir,
-        pair_seed=args.random_pair_seed,
+        args.test, args.n, reps, args.seed, grid, null_b=null_b, cache_dir=args.cache_dir,
     )
     if args.test == "pitos":
         header = ["threshold", "cdf_p", "cdf_p_star"]
@@ -313,7 +305,6 @@ def _cmd_study(args):
     summary = scenario_study(
         args.scenario, dists, reps, args.n, args.alpha, args.seed,
         tests=tests, null_b=null_b, cache_dir=args.cache_dir, threads=args.threads,
-        pair_seed=args.random_pair_seed,
     )
     header = ["test", "avg_power"] + [f"rank{r}_freq" for r in range(1, len(tests) + 1)]
     rows = [
@@ -370,8 +361,6 @@ def build_parser():
                        help=f"null draws (default {STUDY_NULL_B}, or {PAPER_SCALE} with --paper-scale)")
         p.add_argument("--paper-scale", action="store_true",
                        help=f"full-size counts: {PAPER_SCALE} for each count not given explicitly")
-        p.add_argument("--random-pair-seed", type=int, default=None,
-                       help="experiment: seeded uniform pair source instead of the default sequence")
         p.add_argument("--out", default=None)
 
     p = sub.add_parser("test", help="run one test on a data file")

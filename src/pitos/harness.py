@@ -26,7 +26,7 @@ from .classic import (CLASSIC_TESTS, batch_statistics, build_empirical_null, emp
 from .core import (_available_cores, corrected_p_value, pitos_p_value, plan_rows,
                    planned_p_values, thread_map)
 from .distributions import DistributionSpec, ScenarioSampler, scenario_code, zoo_lookup
-from .pairs import _positive_int, _sample_size, generate_pairs, random_pairs
+from .pairs import _positive_int, _sample_size, generate_pairs
 from .streams import stream
 
 __all__ = [
@@ -100,12 +100,10 @@ def _resolve_dist(dist):
     return zoo_lookup(dist)
 
 
-def _resolve_roster(tests, n, seed, null_b, cache_dir, pair_seed):
-    """(pairs, nulls) for the roster at n: pitos's default sequence, or the
-    random-uniform one under pair_seed, and each classical test's null."""
-    pairs = None
-    if "pitos" in tests:
-        pairs = generate_pairs(n) if pair_seed is None else random_pairs(n, pair_seed)
+def _resolve_roster(tests, n, seed, null_b, cache_dir):
+    """(pairs, nulls) for the roster at n: pitos's pair sequence (None
+    without pitos) and each classical test's null."""
+    pairs = generate_pairs(n) if "pitos" in tests else None
     return pairs, {t: build_empirical_null(t, n, null_b, seed, cache_dir=cache_dir)
                    for t in tests if t in CLASSIC_TESTS}
 
@@ -194,7 +192,7 @@ def _pvalue_matrix(dist, tests, n, replicates, seed, scen_code, dist_index, pair
     return out
 
 
-def _power_reports(jobs, tests, alpha, replicates, seed, null_b, cache_dir, pair_seed, threads=1):
+def _power_reports(jobs, tests, alpha, replicates, seed, null_b, cache_dir, threads=1):
     """One PowerReport per job (dist, n, scen_code, dist_index), in job order.
 
     Each distinct n's pair sequence and classical nulls are resolved once,
@@ -206,7 +204,7 @@ def _power_reports(jobs, tests, alpha, replicates, seed, null_b, cache_dir, pair
     replicates = _positive_int(replicates, "replicates")
     threads = _positive_int(threads, "threads")
     tests = _normalize_tests(tests)
-    resolved = {n: _resolve_roster(tests, n, seed, null_b, cache_dir, pair_seed)
+    resolved = {n: _resolve_roster(tests, n, seed, null_b, cache_dir)
                 for n in dict.fromkeys(job[1] for job in jobs)}
 
     def run(job):
@@ -245,19 +243,15 @@ def estimate_power(
     *,
     null_b=STUDY_NULL_B,
     cache_dir=None,
-    pair_seed=None,
 ):
     """Rejection rate of p <= alpha for each test on data from `dist`.
 
     `dist` is a DistributionSpec or a zoo name; `tests` a test identifier or
-    a sequence of them.  All tests share each replicate's dataset.
-
-    `pair_seed` switches the order-statistic test onto the experimental
-    random-uniform pair source (seeded); leave None for the default
-    low-discrepancy sequence.
+    a sequence of them.  All tests share each replicate's dataset, and pitos
+    scores it on generate_pairs(n).
     """
     job = (_resolve_dist(dist), _sample_size(n), 0, 0)
-    return _power_reports([job], tests, alpha, replicates, seed, null_b, cache_dir, pair_seed)[0]
+    return _power_reports([job], tests, alpha, replicates, seed, null_b, cache_dir)[0]
 
 
 def power_curve(
@@ -271,12 +265,11 @@ def power_curve(
     null_b=STUDY_NULL_B,
     cache_dir=None,
     threads=1,
-    pair_seed=None,
 ):
     """estimate_power at each n in the grid; grid point g uses dist_index g."""
     dist = _resolve_dist(dist)
     jobs = [(dist, _sample_size(n), 0, g) for g, n in enumerate(n_grid)]
-    return _power_reports(jobs, tests, alpha, replicates, seed, null_b, cache_dir, pair_seed, threads)
+    return _power_reports(jobs, tests, alpha, replicates, seed, null_b, cache_dir, threads)
 
 
 def scenario_study(
@@ -291,7 +284,6 @@ def scenario_study(
     null_b=STUDY_NULL_B,
     cache_dir=None,
     threads=1,
-    pair_seed=None,
 ):
     """Draw distributions from a scenario, estimate per-test power on each,
     and aggregate rank frequencies and average power."""
@@ -303,7 +295,7 @@ def scenario_study(
     dists = ScenarioSampler(scenario, seed).draw_many(num_distributions)
     reports = _power_reports(
         [(dist, n, code, d) for d, dist in enumerate(dists)],
-        tests, alpha, replicates_per_distribution, seed, null_b, cache_dir, pair_seed, threads,
+        tests, alpha, replicates_per_distribution, seed, null_b, cache_dir, threads,
     )
 
     power = np.array([[rep.rejection_rate[t] for t in tests] for rep in reports])  # (dists, tests)
@@ -363,7 +355,6 @@ def null_pvalue_cdf(
     *,
     null_b=STUDY_NULL_B,
     cache_dir=None,
-    pair_seed=None,
 ):
     """Empirical CDF of p-values under the Uniform(0,1) null at each grid point.
 
@@ -378,7 +369,7 @@ def null_pvalue_cdf(
     if len(tests) != 1 or tests[0] == "lrt":
         raise ValueError("null_pvalue_cdf takes a single test, not the lrt oracle")
     test = tests[0]
-    p = _null_pvalues(test, n, replicates, seed, null_b, cache_dir, pair_seed)
+    p = _null_pvalues(test, n, replicates, seed, null_b, cache_dir)
     series = {"p": _ecdf_at(p, grid)}
     if test == "pitos":
         series["p_star"] = _ecdf_at(corrected_p_value(p), grid)
@@ -388,18 +379,18 @@ def null_pvalue_cdf(
     )
 
 
-def null_pitos_pvalues(n, replicates, seed, *, pair_seed=None):
+def null_pitos_pvalues(n, replicates, seed):
     """(uncorrected, corrected) p-value arrays over null replicates, using
     the same dataset streams as every other harness operation."""
-    p = _null_pvalues("pitos", n, replicates, seed, None, None, pair_seed)
+    p = _null_pvalues("pitos", n, replicates, seed, None, None)
     return p, corrected_p_value(p)
 
 
-def _null_pvalues(test, n, replicates, seed, null_b, cache_dir, pair_seed):
+def _null_pvalues(test, n, replicates, seed, null_b, cache_dir):
     """One test's p-values (uncorrected for pitos) on Uniform(0,1) replicates."""
     n = _sample_size(n)
     replicates = _positive_int(replicates, "replicates")
-    pairs, nulls = _resolve_roster((test,), n, seed, null_b, cache_dir, pair_seed)
+    pairs, nulls = _resolve_roster((test,), n, seed, null_b, cache_dir)
     uniform = zoo_lookup("uniform")
     return _pvalue_matrix(uniform, (test,), n, replicates, seed, 0, 0, pairs, nulls)[0]
 

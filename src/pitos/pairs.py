@@ -16,9 +16,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .special import beta_cdf, beta_inv_cdf
-from .streams import stream
 
-__all__ = ["PairSequence", "generate_pairs", "halton", "pair_count", "random_pairs"]
+__all__ = ["PairSequence", "generate_pairs", "halton", "pair_count"]
 
 log = logging.getLogger(__name__)
 
@@ -212,11 +211,6 @@ class PairSequence:
         return self._plan
 
 
-def _halton_points(out, column, lo):
-    """Points lo+1.. of the 2-D Halton sequence: column 0 in base 2, column 1 in base 3."""
-    _radical_inverse_fill(out, lo + 1, column + 2)
-
-
 def _beta_index_map(n, a, b):
     """Index map ceil(n * F^-1(u)) for the Beta(a, b) CDF F, by edge lookup.
 
@@ -256,43 +250,37 @@ def _beta_index_map(n, a, b):
     return lookup
 
 
-def _assemble(n, index_map, warp_tag, uniforms=_halton_points):
-    """Pair sequence from a source of uniforms and an index map.
-
-    `uniforms(out, column, lo)` fills `out` with points lo.. of column i (0)
-    or j (1); the default is the 2-D Halton sequence.  `index_map(u, out)`
-    writes the index in 1..n of each point.  Column i is filled before
-    column j, PASS_SIZE points at a time, so peak memory stays near the
-    output arrays.
-    """
-    m = pair_count(n)
-    k = m - n
-    if warp_tag != DEFAULT_WARP:
+# Two sequences: a study alternating between two sample sizes keeps both,
+# and a process testing many sizes does not keep every sequence it built.
+@functools.lru_cache(maxsize=2)
+def _generate_pairs_beta(n, a, b):
+    """Points 1..m-n of the 2-D Halton sequence (column i in base 2, column j
+    in base 3) through the Beta(a, b) index map, then the diagonal.  Column
+    i is filled before column j, PASS_SIZE points at a time, so peak memory
+    stays near the output arrays."""
+    if (a, b) != DEFAULT_WARP:
         log.warning(
             "non-default pair sequence: the 1.15 correction was calibrated "
             "for the default Beta(0.7,0.7) warp"
         )
+    index_map = _beta_index_map(n, a, b)
+    m = pair_count(n)
+    k = m - n
     i = np.empty(m, dtype=np.int64)
     j = np.empty(m, dtype=np.int64)
     for column, idx in enumerate((i, j)):
         for lo in range(0, k, PASS_SIZE):
             u = np.empty(min(PASS_SIZE, k - lo))
-            uniforms(u, column, lo)
+            _radical_inverse_fill(u, lo + 1, column + 2)
             index_map(u, idx[lo : lo + len(u)])
     i[k:] = np.arange(1, n + 1, dtype=np.int64)
     j[k:] = i[k:]
-    return PairSequence(n=n, i=i, j=j, warp=warp_tag)
-
-
-# Two sequences: a study alternating between two sample sizes keeps both,
-# and a process testing many sizes does not keep every sequence it built.
-@functools.lru_cache(maxsize=2)
-def _generate_pairs_beta(n, a, b):
-    return _assemble(n, _beta_index_map(n, a, b), (a, b))
+    return PairSequence(n=n, i=i, j=j, warp=(a, b))
 
 
 def generate_pairs(n, warp=DEFAULT_WARP):
-    """Pair sequence for sample size n, deterministic in (n, warp).
+    """Pair sequence for sample size n, deterministic in (n, warp): the one
+    pair source of the library, the CLI and the harness.
 
     `warp` is the (a, b) shape pair of the Beta CDF whose inverse spreads
     the Halton points; the default Beta(0.7, 0.7) is the only supported
@@ -306,22 +294,3 @@ def generate_pairs(n, warp=DEFAULT_WARP):
 
 
 generate_pairs.cache_clear = _generate_pairs_beta.cache_clear
-
-
-def random_pairs(n, seed):
-    """Experimental alternative pair source: seeded uniform draws replace the
-    Halton points before the same warp and discretization.
-
-    Not a library default; the sequence loses the even coverage and the
-    determinism-in-n of the low-discrepancy construction, and it is built as
-    a non-default sequence (the dependence correction was calibrated for the
-    default), which logs one warning.
-    """
-    n = _sample_size(n)
-    rng = stream(seed, 0xA17)
-    return _assemble(
-        n,
-        _beta_index_map(n, *DEFAULT_WARP),
-        ("random-uniform", int(seed)),
-        uniforms=lambda out, column, lo: rng.random(out=out),
-    )

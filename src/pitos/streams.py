@@ -7,7 +7,6 @@ of parallelism and still see identical randomness:
   (scenario_code, distribution_index, 0)   parameter draws
   (scenario_code, distribution_index, 1)   datasets of a job's replicates
   (NULL_ROWS, n)                           empirical-null rows at size n
-  (0xA17,)                                 random-pair source (random_pairs)
   (0, 0, 0)                                discrete-PIT draw of `pitos test`
 
 scenario_code 0 means a directly specified distribution (no scenario).  A

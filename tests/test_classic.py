@@ -214,24 +214,6 @@ class TestEmpiricalNull:
             classic._store_null(reference, EmpiricalNull(test, n, expected, B, seed))
             assert built.read_bytes() == reference.read_bytes()
 
-    def test_null_rows_are_not_the_random_pair_source(self, cache_dir, monkeypatch):
-        # the random-pair source is stream (seed, 0xA17); null replicate 2583
-        # (0xA17) once drew from that same stream.  ks sorts each block in
-        # place, so the rows it scores are the null stream's rows, sorted.
-        rows = []
-        statistics = classic.batch_statistics
-
-        def recorded(test, block, **kw):
-            rows.append(block.copy())
-            return statistics(test, block, **kw)
-
-        monkeypatch.setattr(classic, "batch_statistics", recorded)
-        build_empirical_null("ks", 5, 2584, 9, cache_dir=cache_dir)
-        scored = np.concatenate(rows)
-        expected = np.sort(stream(9, NULL_ROWS, 5).random((2584, 5)), axis=1)
-        assert scored.tobytes() == expected.tobytes()
-        assert not np.any(np.isin(scored[0xA17], stream(9, 0xA17).random(5)))
-
     def test_lrt_needs_density_and_label_separates_cache(self, cache_dir):
         # the label is composed from the alternative's name and parameters
         flat = _alternative("flat", lambda x: np.zeros_like(np.asarray(x, dtype=float)))

@@ -104,12 +104,18 @@ class TestTestSubcommand:
         assert not cache_dir.exists()
 
     def test_negative_seed_is_named(self, tmp_path, capsys, cache_dir):
+        # refused alike where a draw reads the seed (ks's null, a discrete
+        # null's PIT) and where none does (pitos, a continuous null's PIT)
         path = tmp_path / "data.txt"
         path.write_text("0.2\n0.5\n0.9\n")
-        code, out, err = run_cli(["test", "--input", str(path), "--method", "ks", "--seed", "-1",
-                                  "--cache-dir", str(cache_dir)], capsys)
-        assert (code, out) == (2, "")
-        assert err == "error: seed must be a non-negative integer, got -1\n"
+        for extra in (["--method", "ks", "--cache-dir", str(cache_dir)],
+                      ["--null-cdf", "discrete-uniform-99"],
+                      ["--method", "pitos"],
+                      ["--null-cdf", "beta(2,2)"]):
+            code, out, err = run_cli(["test", "--input", str(path), "--seed", "-1", *extra],
+                                     capsys)
+            assert (code, out) == (2, ""), extra
+            assert err == "error: seed must be a non-negative integer, got -1\n"
 
     @pytest.mark.parametrize("method", ["ad", "nb", "ks", "cvm", "pitos"])
     def test_verdict_is_strict_json(self, tmp_path, capsys, cache_dir, method):
@@ -320,42 +326,6 @@ class TestTabularSubcommands:
         # explicit flags win over --paper-scale
         assert sidecar["replicates"] == 50 and sidecar["null_b"] == 100
 
-    def test_random_pair_seed_flag(self, tmp_path, capsys, cache_dir):
-        out_csv = tmp_path / "power.csv"
-        code, _, _ = run_cli(
-            ["power", "--dist", "uniform", "--tests", "pitos", "--n", "12",
-             "--reps", "40", "--null-b", "100", "--seed", "2", "--random-pair-seed", "9",
-             "--cache-dir", str(cache_dir), "--out", str(out_csv)],
-            capsys,
-        )
-        assert code == 0
-        sidecar = json.loads((tmp_path / "power.csv.meta.json").read_text())
-        assert sidecar["random_pair_seed"] == 9
-
-    def test_random_pair_seed_warns_once(self, tmp_path):
-        proc = run_entrypoint(
-            ["power", "--dist", "uniform", "--tests", "pitos", "--n", "30",
-             "--reps", "50", "--random-pair-seed", "1", "--out", str(tmp_path / "p.csv")],
-            tmp_path,
-        )
-        assert proc.returncode == 0
-        lines = proc.stderr.splitlines()
-        assert len(lines) == 1 and "1.15 correction" in lines[0]
-
-    @pytest.mark.parametrize("threads", ["1", "2"])
-    def test_random_pair_study_builds_sequence_once(self, tmp_path, threads):
-        # one random-uniform sequence per study, not one per distribution
-        proc = run_entrypoint(
-            ["study", "--scenario", "random-gap", "--dists", "3", "--reps", "30",
-             "--n", "25", "--tests", "pitos,ad", "--random-pair-seed", "2",
-             "--null-b", "200", "--threads", threads, "--cache-dir", str(tmp_path / "cache"),
-             "--out", str(tmp_path / "study.csv")],
-            tmp_path,
-        )
-        assert proc.returncode == 0
-        lines = proc.stderr.splitlines()
-        assert len(lines) == 1 and "1.15 correction" in lines[0]
-
     @pytest.mark.parametrize("reps", ["0", "-3"])
     def test_calibrate_rejects_replicate_counts_below_one(self, tmp_path, capsys, reps):
         out_csv = tmp_path / "cal.csv"
@@ -431,7 +401,9 @@ class TestTabularSubcommands:
          "--n takes comma-separated integers, got '10,abc'"),
         (["calibrate", "--n", "10", "--grid", "0.1,x"],
          "--grid takes comma-separated numbers, got '0.1,x'"),
-    ], ids=["power-n", "calibrate-grid"])
+        (["calibrate", "--n", "10", "--grid", ""],
+         "--grid takes comma-separated numbers, got ''"),
+    ], ids=["power-n", "calibrate-grid", "calibrate-grid-empty"])
     def test_comma_list_flags_name_a_value_that_does_not_parse(self, tmp_path, capsys,
                                                                command, message):
         code, out, err = run_cli(
@@ -514,48 +486,42 @@ class TestTabularSubcommands:
 # CSVs of the power, calibrate_ks and study entries were re-captured when each
 # empirical null came to draw its rows from one stream per (seed, n), and the
 # CSVs of every power, calibrate and study entry when each job came to draw
-# its replicate datasets from one stream; {out}, {cache} and {data} are
-# filled per run.
+# its replicate datasets from one stream, and every sidecar when the random
+# pair source and its random_pair_seed key were removed; {out}, {cache} and
+# {data} are filled per run.
 FROZEN_CLI = {
     "power": (
         ["power", "--dist", "uniform", "--tests", "pitos,ks", "--n", "10,20", "--reps", "50",
          "--null-b", "200", "--seed", "2", "--out", "{out}", "--cache-dir", "{cache}"],
         ("d41d8cd98f00b204e9800998ecf8427e", "d2ed488375202ed69329ba755d743cbd",
-         "bcb45c5091eaf9fd3a24848b592ba4e4"),
-    ),
-    "power_random_pairs": (
-        ["power", "--dist", "uniform", "--tests", "pitos,ks", "--n", "10,20", "--reps", "40",
-         "--null-b", "200", "--seed", "2", "--random-pair-seed", "9", "--out", "{out}",
-         "--cache-dir", "{cache}"],
-        ("d41d8cd98f00b204e9800998ecf8427e", "34921ca69f2289743e35871830a4ef54",
-         "77dfcfe53467f4baa47cf7479799286d"),
+         "398387cb1e688a59cab29fddc856efe9"),
     ),
     "power_lrt_threads": (
         ["power", "--dist", "gap(0.5,0.05)", "--tests", "pitos,ks,lrt", "--n", "12,20",
          "--reps", "40", "--null-b", "200", "--seed", "2", "--threads", "2", "--out", "{out}",
          "--cache-dir", "{cache}"],
         ("d41d8cd98f00b204e9800998ecf8427e", "9955673239fe21bac82e751493cde2a3",
-         "efb9c4591dbe73169f76cfcc4706babc"),
+         "984ea25e06dbe79f8769c2c90e5e15f8"),
     ),
     "calibrate_pitos": (
         ["calibrate", "--test", "pitos", "--n", "10", "--reps", "100", "--grid", "0.05,0.5",
          "--seed", "1", "--out", "{out}", "--cache-dir", "{cache}"],
         ("d41d8cd98f00b204e9800998ecf8427e", "cc5b4afb5bb0d6d8987ab451d6a06f56",
-         "1b9591c722ff9f631811164b26b08e67"),
+         "3e9ae7cc896bf7140311615d0aac4461"),
     ),
     "calibrate_ks_paper_scale": (
         ["calibrate", "--test", "ks", "--n", "8", "--reps", "50", "--paper-scale",
          "--null-b", "100", "--grid", "0.5", "--seed", "1", "--out", "{out}",
          "--cache-dir", "{cache}"],
         ("d41d8cd98f00b204e9800998ecf8427e", "8241fd91275176b9e70e95eebba927ac",
-         "e96c1b90ec3a2d326253bdb94a4fa033"),
+         "e8195e093dcc7114be03a9bb56ffea77"),
     ),
     "study": (
         ["study", "--scenario", "outliers", "--dists", "3", "--reps", "30", "--n", "15",
          "--tests", "pitos,ks", "--null-b", "200", "--seed", "5", "--out", "{out}",
          "--cache-dir", "{cache}"],
         ("d41d8cd98f00b204e9800998ecf8427e", "6b8eb44cf181825ec9e03e04c69b315b",
-         "693f5e507fe5d4ae52f5c37dea247f8b"),
+         "489688e6928b22c271c1b2afe8fa4fa8"),
     ),
     "test_pitos_detail": (
         ["test", "--input", "{data}", "--emit-detail", "{out}"],

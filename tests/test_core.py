@@ -17,7 +17,7 @@ import pytest
 
 from pitos import core
 from pitos.core import OrderedSample, conditional_os_cdf, pitos_p_value
-from pitos.pairs import PairSequence, generate_pairs, pair_count, pair_shapes, random_pairs
+from pitos.pairs import PairSequence, generate_pairs, pair_count, pair_shapes
 
 from conftest import ecdf_sup_distance
 
@@ -468,14 +468,6 @@ class TestFrozenBits:
     def test_detail_bytes(self):
         det = pitos_p_value(_frozen_data(100), detail=True).detail
         assert _md5(det.u, det.p) == "bb48ac13df12a561e66b47c10e3fe4c4"
-
-    @pytest.mark.parametrize("n, digest", [
-        (40, "4b3be5368c70668582a381d6b8e874aa"),
-        (11300, "f9f000d16ddcb28ec700f3800b95d78a"),  # k > 2^20 crosses a block
-    ])
-    def test_random_pairs_bytes(self, n, digest):
-        seq = random_pairs(n, 3)
-        assert _md5(seq.i, seq.j) == digest
 
 
 def _kernel_vs_scalar(x, i, j):

@@ -91,17 +91,6 @@ class TestEstimatePower:
         assert report.distribution["name"] == "bump(0.5,0.001,0.08)"
         assert report.distribution["mass"] == 0.08
 
-    def test_random_pair_source_experiment(self, cache_dir, caplog):
-        kw = dict(n=25, alpha=0.05, replicates=100, seed=6, cache_dir=cache_dir)
-        with caplog.at_level("WARNING", logger="pitos.pairs"):
-            alt = estimate_power("uniform", "pitos", **kw, pair_seed=11)
-        # one warning for the one sequence, not one per replicate
-        warned = [r for r in caplog.records if "1.15 correction" in r.message]
-        assert len(warned) == 1
-        again = estimate_power("uniform", "pitos", **kw, pair_seed=11)
-        assert alt.rejection_rate == again.rejection_rate
-        assert 0.0 <= alt.rejection_rate["pitos"] <= 0.15  # still near level
-
 
     def test_lrt_null_is_keyed_by_full_precision_parameters(self, cache_dir, tmp_path):
         # both names print as beta(0.6,0.6); each alternative needs its own null
@@ -563,18 +552,16 @@ class TestFrozenCalibration:
     dataset are still those of the implementation in which calibration
     scored its pitos replicates in a loop of its own."""
 
-    @pytest.mark.parametrize("args, pair_seed, expected", [
-        ((1, 200, 3), None,
+    @pytest.mark.parametrize("args, expected", [
+        ((1, 200, 3),
          ("c6d0819775fcaa63701fed728092a353", "7a7ff9f7998bd7a9c66f6f029a2c3499")),
-        ((12, 400, 4), None,
+        ((12, 400, 4),
          ("df01cf614d8edca481be29e4cea97d47", "c00a9ac35a07072459909ff5aff43262")),
-        ((30, 300, 5), None,
+        ((30, 300, 5),
          ("4ad384c329e7d88bea77163a0eaef4d5", "37e6af96aaf8216a6f5132e883a323f5")),
-        ((25, 200, 6), 7,
-         ("06a28cbe6c5060bc4dd60d2ab918445a", "5f507f9f8c95c9d5055d468194758b30")),
     ])
-    def test_null_pitos_pvalues(self, args, pair_seed, expected):
-        p, p_star = null_pitos_pvalues(*args, pair_seed=pair_seed)
+    def test_null_pitos_pvalues(self, args, expected):
+        p, p_star = null_pitos_pvalues(*args)
         assert (_md5(p), _md5(p_star)) == expected
 
     @pytest.mark.parametrize("test, expected", [

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from pitos import pairs as pairs_mod
-from pitos.pairs import DEFAULT_WARP, PairSequence, generate_pairs, halton, pair_count, random_pairs
+from pitos.pairs import DEFAULT_WARP, PairSequence, generate_pairs, halton, pair_count
 from pitos.special import beta_inv_cdf
 
 from conftest import beta_inv_cdf_bisection, radical_inverse_fraction
@@ -135,25 +135,6 @@ class TestPairSequence:
         assert len(ui) < seq.m  # small n has many repeats
 
 
-class TestRandomPairSource:
-    def test_shape_matches_default_construction(self):
-        seq = random_pairs(40, seed=3)
-        assert seq.m == pair_count(40)
-        assert seq.warp != DEFAULT_WARP
-        diag = np.arange(1, 41)
-        np.testing.assert_array_equal(seq.i[-40:], diag)
-        np.testing.assert_array_equal(seq.j[-40:], diag)
-        assert seq.i.min() >= 1 and seq.i.max() <= 40
-
-    def test_seeded_and_distinct_from_default(self):
-        a = random_pairs(40, seed=3)
-        b = random_pairs(40, seed=3)
-        c = random_pairs(40, seed=4)
-        np.testing.assert_array_equal(a.i, b.i)
-        assert not np.array_equal(a.i, c.i)
-        assert not np.array_equal(a.i, generate_pairs(40).i)
-
-
 def _halton_column(k, base):
     """Points 1..k of the base-`base` Halton sequence, one digit per pass."""
     ndigits = pairs_mod._digit_count(k, base)
@@ -217,11 +198,12 @@ class TestIndexMapMatchesInverse:
         "n, seed", [(1, 5), (2, 0), (37, 3), (1000, 11), (11300, 3), (20000, 8)]
     )
     def test_random_pairs(self, n, seed):
-        seq = random_pairs(n, seed)
-        k = seq.m - n
-        rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(0xA17,)))
-        for got in (seq.i, seq.j):  # column i draws all its uniforms first
-            np.testing.assert_array_equal(got[:k], _direct_indices(_inverse_warp(rng.random(k)), n))
+        # seeded uniforms, as many as both columns of a sequence hold: the
+        # map is exact on any points, not only on the Halton ones
+        u = np.random.default_rng(seed).random(2 * (pair_count(n) - n))
+        got = np.empty(len(u), dtype=np.int64)
+        pairs_mod._beta_index_map(n, 0.7, 0.7)(u, got)
+        np.testing.assert_array_equal(got, _direct_indices(_inverse_warp(u), n))
 
     def test_near_edge_points_take_the_inverse_path(self, monkeypatch):
         # u = 1/2 is the first Halton point and sits on the middle edge of
@@ -268,12 +250,12 @@ class TestTableDrivenRadicalInverse:
     def test_block_boundaries_and_short_last_block(self):
         block = pairs_mod.PASS_SIZE
         k = block + 777
-        fill = pairs_mod._halton_points
-        for column, base in enumerate((2, 3)):
+        fill = pairs_mod._radical_inverse_fill  # as the sequence calls it, one pass at a time
+        for base in (2, 3):
             head = np.empty(block)
-            fill(head, column, 0)
+            fill(head, 1, base)
             tail = np.empty(k - block)
-            fill(tail, column, block)
+            fill(tail, block + 1, base)
             for lo, got in ((0, head), (block, tail)):
                 for t in list(range(8)) + list(range(len(got) - 8, len(got))):
                     assert got[t] == halton(lo + t + 1, base)

@@ -1,5 +1,5 @@
-"""stream(): the argument checks, the default generator and the one owner
-of every reproducibility key."""
+"""stream(): the argument checks, the default generator, the one owner of
+every reproducibility key, and the path table's disjoint null rows."""
 
 import re
 from pathlib import Path
@@ -7,7 +7,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from pitos.streams import stream
+from pitos.cli import main
+from pitos.harness import estimate_power, scenario_study
+from pitos.streams import NULL_ROWS, stream
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "pitos"
 
@@ -44,3 +46,27 @@ def test_only_streams_builds_generators():
         r"|4865540595714422341|47026247687942121848144207491837523525", re.IGNORECASE)
     owners = {path.name for path in SRC.rglob("*.py") if needles.search(path.read_text())}
     assert owners == {"streams.py"}
+
+
+def test_null_rows_share_no_path_with_other_draws(tmp_path, monkeypatch, capsys):
+    # every generator comes from stream(), so recording the SeedSequences it
+    # builds lists every path a run draws from; the empirical-null rows
+    # (NULL_ROWS, n) must be the only two-word paths
+    paths = []
+    seed_sequence = np.random.SeedSequence
+
+    def recorded(*, entropy, spawn_key):
+        paths.append(tuple(spawn_key))
+        return seed_sequence(entropy=entropy, spawn_key=spawn_key)
+
+    monkeypatch.setattr(np.random, "SeedSequence", recorded)
+    kw = dict(null_b=20, cache_dir=tmp_path)
+    estimate_power("gap(0.5,0.05)", ("pitos", "ks", "lrt"), 12, replicates=5, **kw)
+    scenario_study("outliers", 2, 5, 12, tests=("pitos", "ad"), **kw)
+    data = tmp_path / "data.txt"
+    data.write_text("0.25\n0.5\n0.75\n")
+    assert main(["test", "--input", str(data), "--null-cdf", "discrete-uniform-99"]) == 0
+    capsys.readouterr()
+    null_rows = {p for p in paths if p[0] == NULL_ROWS}
+    assert null_rows == {(NULL_ROWS, 12)}
+    assert {len(p) for p in paths if p[0] != NULL_ROWS} == {3}
